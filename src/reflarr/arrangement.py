@@ -1,10 +1,17 @@
 """Reflection arrangements: hyperplanes with forms, roots and orders,
-W-orbits, essentiality and irreducibility via the root graph, and
-intersection-lattice Poincare polynomials.
+the group's monomial action on the root lines, W-orbits, essentiality
+and irreducibility via the root graph, and intersection-lattice
+Poincare polynomials.
+
+The root-line action w.e_H = c e_{w(H)} is computed here once per
+arrangement (:attr:`Arrangement.root_action`); kappa, the chi_n
+family, the orbits, the Coxeter sign model and the monodromy
+permutations all read it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +36,18 @@ class Hyperplane:
     root: tuple  # spans the F-orthogonal line, first nonzero coord 1
     d: int  # order of the pointwise fixer of H
     distinguished_reflection: int | None  # element index, None if standalone
+
+
+@dataclass(frozen=True)
+class RootAction:
+    """Element w (by index) sends the root e_i of hyperplane i to
+    ``scalars[coeffs[w][i]] * e_{perms[w][i]}``; each distinct scalar
+    is stored once in ``scalars``.
+    """
+
+    perms: tuple
+    coeffs: tuple
+    scalars: tuple
 
 
 class Arrangement:
@@ -58,27 +77,19 @@ class Arrangement:
     def from_group(g: GroupModel) -> "Arrangement":
         """Extract (A, d) from the reflections of a finite group."""
         by_alpha: dict[tuple, list] = {}
-        order_seen: list[tuple] = []
         for r in g.reflections:
-            if r.alpha not in by_alpha:
-                by_alpha[r.alpha] = []
-                order_seen.append(r.alpha)
-            by_alpha[r.alpha].append(r)
-        hyps = []
-        for alpha in order_seen:
-            refs = by_alpha[alpha]
-            d = len(refs) + 1
-            distinguished = [r for r in refs if r.distinguished]
-            hyps.append(
-                Hyperplane(
-                    alpha=alpha,
-                    root=refs[0].root,
-                    d=d,
-                    distinguished_reflection=(
-                        distinguished[0].element if distinguished else None
-                    ),
-                )
+            by_alpha.setdefault(r.alpha, []).append(r)
+        hyps = [
+            Hyperplane(
+                alpha=alpha,
+                root=refs[0].root,
+                d=len(refs) + 1,
+                distinguished_reflection=next(
+                    (r.element for r in refs if r.distinguished), None
+                ),
             )
+            for alpha, refs in by_alpha.items()
+        ]
         return Arrangement(g.dim, hyps, group=g)
 
     @staticmethod
@@ -111,45 +122,73 @@ class Arrangement:
                 return i
         return None
 
+    @cached_property
+    def root_action(self) -> RootAction:
+        """The group's monomial action on the root lines.
+
+        Only the generator rows are computed from matrices.  Every other
+        row is composed along the group's spanning tree: for w = x s,
+        w.e_i = c_s(i) c_x(s(i)) e_{x(s(i))}, each product of two stored
+        scalars computed once.  Equal permutation rows share one tuple;
+        scalar indices are stored as compact unsigned-int arrays.
+        """
+        g = self.group
+        if g is None:
+            raise ValueError("a standalone arrangement has no group action")
+        roots = [h.root for h in self.hyperplanes]
+        scalars, ids, products, distinct_perms = [], {}, {}, {}
+
+        def intern(c):
+            if c not in ids:
+                ids[c] = len(scalars)
+                scalars.append(c)
+            return ids[c]
+
+        def times(a, b):
+            if (a, b) not in products:
+                products[a, b] = intern(scalars[a] * scalars[b])
+            return products[a, b]
+
+        gen_rows = []
+        for s in g.generators:
+            perm, coeff = [], []
+            for root in roots:
+                img = s.matvec(root)
+                j = self.hyperplane_of_root(img)
+                if j is None:
+                    raise ArithmeticError("group element does not permute the arrangement")
+                perm.append(j)
+                coeff.append(intern(proportionality(img, roots[j])))
+            gen_rows.append((perm, coeff))
+        perms = [tuple(range(len(roots)))]  # elements[0] is the identity
+        coeffs = [array("I", [intern(CycNum.one())]) * len(roots)]
+        parents, steps = g.spanning_tree
+        for x, gi in zip(parents[1:], steps[1:]):
+            s_perm, s_coeff = gen_rows[gi]
+            x_perm, x_coeff = perms[x], coeffs[x]
+            perm = tuple(x_perm[j] for j in s_perm)
+            perms.append(distinct_perms.setdefault(perm, perm))
+            coeffs.append(array("I", [times(c, x_coeff[j]) for j, c in zip(s_perm, s_coeff)]))
+        return RootAction(tuple(perms), tuple(coeffs), tuple(scalars))
+
+    def action_of(self, g: GroupModel) -> RootAction:
+        """root_action, refusing any group but the arrangement's own."""
+        if self.group is not g:
+            raise ValueError("the arrangement belongs to a different group")
+        return self.root_action
+
     def image_hyperplane(self, w: Matrix, i: int) -> int:
-        """w(H_i) as a hyperplane index (roots map to roots)."""
-        j = self.hyperplane_of_root(w.matvec(self.hyperplanes[i].root))
-        if j is None:
-            raise ArithmeticError("group element does not permute the arrangement")
-        return j
+        """w(H_i) as a hyperplane index, for an element w of the group."""
+        return self.root_action.perms[self.group.index[w]][i]
 
     @cached_property
     def orbits(self) -> tuple:
         """Partition of hyperplane indices under the group action."""
         if self.group is None:
             return tuple((i,) for i in range(len(self)))
-        gens = self.group.generators
-        assigned = [None] * len(self)
-        orbits = []
-        for start in range(len(self)):
-            if assigned[start] is not None:
-                continue
-            orb = [start]
-            assigned[start] = len(orbits)
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for i in frontier:
-                    for g in gens:
-                        j = self.image_hyperplane(g, i)
-                        if assigned[j] is None:
-                            assigned[j] = len(orbits)
-                            orb.append(j)
-                            nxt.append(j)
-                frontier = nxt
-            orbits.append(tuple(sorted(orb)))
-        return tuple(orbits)
-
-    def orbit_of(self, i: int) -> int:
-        for k, orb in enumerate(self.orbits):
-            if i in orb:
-                return k
-        raise IndexError(i)
+        perms = self.root_action.perms
+        orbits = {tuple(sorted({p[i] for p in perms})) for i in range(len(self))}
+        return tuple(sorted(orbits))  # disjoint, so ordered by least index
 
     # -- essentiality and irreducibility -----------------------------
 
@@ -221,10 +260,11 @@ class Arrangement:
         return comps
 
     def sub(self, indices) -> "Arrangement":
+        """The hyperplanes at indices, tied to the same group and form."""
         return Arrangement(
             self.dim,
             [self.hyperplanes[i] for i in indices],
-            group=None,
+            group=self.group,
             form=self._form,
         )
 

@@ -9,13 +9,13 @@ root data for the signed-permutation model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .arrangement import Arrangement, essentialize
 from .cyclo import CycNum, parse_literal, sqrt_minus_two
-from .linalg import Matrix, proportionality, scale_vec
+from .linalg import Matrix, scale_vec
 from .matgroup import DEFAULT_ORDER_BOUND, GroupModel
 
 
@@ -45,23 +45,35 @@ class GroupSpec:
         return GroupSpec(kind="exceptional", st=st)
 
     @staticmethod
-    def from_json(obj: dict) -> "GroupSpec":
+    def from_json(obj) -> "GroupSpec":
+        """Read a spec object, with ValueError for a missing or mistyped field."""
+        if not isinstance(obj, dict):
+            raise ValueError("a group spec must be a JSON object")
+
+        def field(key, kind, default=None):
+            value = obj.get(key, default)
+            if value is None:
+                raise ValueError(f"group spec needs the field {key!r}")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"group spec field {key!r} has the wrong type: {value!r}")
+            return value
+
         kind = obj.get("kind")
         if kind == "imprimitive":
-            return GroupSpec.imprimitive(obj["d"], obj["e"], obj["r"])
+            return GroupSpec.imprimitive(field("d", int), field("e", int), field("r", int))
         if kind == "coxeter":
-            return GroupSpec.coxeter(obj["type"], obj["n"])
+            return GroupSpec.coxeter(field("type", str), field("n", int))
         if kind == "exceptional":
-            return GroupSpec.exceptional(obj["st"])
+            return GroupSpec.exceptional(field("st", int))
         if kind == "explicit":
+            gens = field("generators", list)
+            if not all(isinstance(g, list) and all(isinstance(r, list) for r in g) for g in gens):
+                raise ValueError("each generator must be a list of rows")
             return GroupSpec(
                 kind="explicit",
-                dim=obj["dim"],
-                cyclotomic_order=obj.get("cyclotomic_order", 1),
-                generators=tuple(
-                    tuple(tuple(entry for entry in row) for row in g)
-                    for g in obj["generators"]
-                ),
+                dim=field("dim", int),
+                cyclotomic_order=field("cyclotomic_order", int, 1),
+                generators=tuple(tuple(tuple(row) for row in g) for g in gens),
             )
         raise ValueError(f"unknown group spec kind: {kind!r}")
 
@@ -81,7 +93,6 @@ class BuiltGroup:
     group: GroupModel
     arrangement: Arrangement
     positive_roots: tuple | None = None  # Coxeter types only
-    extra: dict = field(default_factory=dict)
 
     @property
     def label(self) -> str:
@@ -193,11 +204,9 @@ def build(spec: GroupSpec, order_bound: int = DEFAULT_ORDER_BOUND) -> BuiltGroup
     if spec.kind == "coxeter":
         return _build_coxeter(spec, order_bound)
     if spec.kind == "exceptional":
-        if spec.st == 4:
-            g = GroupModel.generate(g4_generators(), order_bound)
-            return BuiltGroup(spec, g, Arrangement.from_group(g))
-        if spec.st == 12:
-            g = GroupModel.generate(g12_generators(), order_bound)
+        gens = {4: g4_generators, 12: g12_generators}.get(spec.st)
+        if gens is not None:
+            g = GroupModel.generate(gens(), order_bound)
             return BuiltGroup(spec, g, Arrangement.from_group(g))
         raise ValueError(
             f"unsupported Shephard-Todd number {spec.st}; "
@@ -268,27 +277,17 @@ def coxeter_positive_roots(g: GroupModel, arr: Arrangement):
             for x in row:
                 if not x.is_rational():
                     raise ValueError("positive-root transport needs a rational model")
-    n_h = len(arr.hyperplanes)
-    roots: list = [None] * n_h
+    # w.e_seed = c e_j gives the transported root c e_j; any w reaching
+    # line j gives the same c up to sign, since W acts orthogonally
+    act = arr.action_of(g)
+    scale = [None] * len(arr.hyperplanes)
     for orbit in arr.orbits:
         seed = orbit[0]
-        roots[seed] = arr.hyperplanes[seed].root
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for gen in g.generators:
-                    img = gen.matvec(roots[i])
-                    j = arr.hyperplane_of_root(img)
-                    if roots[j] is None:
-                        roots[j] = img
-                        nxt.append(j)
-            frontier = nxt
-    out = []
-    for v in roots:
-        lead = next(x for x in v if not x.is_zero())
-        f = lead.as_fraction()
-        if f < 0:
-            v = scale_vec(CycNum.rational(-1), v)
-        out.append(v)
-    return tuple(out)
+        for perm, coeff in zip(act.perms, act.coeffs):
+            if scale[perm[seed]] is None:
+                scale[perm[seed]] = act.scalars[coeff[seed]]
+    # e_j has first nonzero coordinate 1, so |c| e_j is the positive root
+    return tuple(
+        scale_vec(CycNum.rational(abs(c.as_fraction())), h.root)
+        for c, h in zip(scale, arr.hyperplanes)
+    )

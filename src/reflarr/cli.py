@@ -19,7 +19,7 @@ from .arrangement import Arrangement
 from .catalog import GroupSpec, SUPPORTED_EXCEPTIONALS, build
 from .cyclo import KERNEL
 from .kappa import a_indices, divisor_closed, kappa_formula, reference_kappa_table
-from .matgroup import DEFAULT_ORDER_BOUND
+from .matgroup import DEFAULT_ORDER_BOUND, NotFiniteWithinBound
 from .repfamily import (
     check_periodicity,
     chi,
@@ -375,7 +375,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         status, report = args.fn(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, NotFiniteWithinBound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

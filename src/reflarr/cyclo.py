@@ -426,5 +426,7 @@ def parse_literal(value, order: int = 1) -> CycNum:
             raise ValueError(
                 f"cyclotomic literal needs {order} coefficients, got {len(value)}"
             )
-        return CycNum.from_fractions(order, [Fraction(v) for v in value])
+        return CycNum.from_fractions(order, [parse_literal(v).as_fraction() for v in value])
+    if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
+        raise ValueError(f"not a rational literal: {value!r}")
     return CycNum.rational(Fraction(value))

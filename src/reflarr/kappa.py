@@ -1,10 +1,12 @@
 """Scalars picked up by roots under the group action.
 
 For each hyperplane H and each w with w.e_H = zeta e_H the order of
-zeta is recorded; kappa is the lcm of all such orders.  The realized
-index set is always the full divisor set of kappa, there is a closed
-formula in the monomial family, and a reference table covers the
-exceptional types.
+zeta is recorded; kappa is the lcm of all such orders.  The pairs and
+their scalars are read from the arrangement's root-line action
+(:attr:`reflarr.arrangement.Arrangement.root_action`), not recomputed
+from matrices.  The realized index set is always the full divisor set
+of kappa, there is a closed formula in the monomial family, and a
+reference table covers the exceptional types.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from math import lcm
 
 from .arrangement import Arrangement
-from .linalg import proportionality
 from .matgroup import GroupModel
 
 
@@ -29,20 +30,17 @@ def a_indices(g: GroupModel, a: Arrangement) -> AIndexReport:
 
     A pair contributes when w maps the root line of H to itself; the
     eigenvalue is a root of unity whose order is recorded with a
-    witness.
+    witness.  g must be the arrangement's own group.
     """
+    act = a.action_of(g)
+    orders = [c.as_root_of_unity() for c in act.scalars]  # None if not one
     witnesses: dict[int, tuple[int, int]] = {}
-    roots = [h.root for h in a.hyperplanes]
-    for wi, w in enumerate(g.elements):
-        for hi, root in enumerate(roots):
-            c = proportionality(w.matvec(root), root)
-            if c is None:
-                continue
-            k = c.as_root_of_unity()
-            if k is None:
-                raise ArithmeticError("root-line scalar is not a root of unity")
-            if k not in witnesses:
-                witnesses[k] = (wi, hi)
+    for wi, (perm, coeff) in enumerate(zip(act.perms, act.coeffs)):
+        for hi, (j, c) in enumerate(zip(perm, coeff)):
+            if j == hi and orders[c] not in witnesses:
+                if orders[c] is None:
+                    raise ArithmeticError("root-line scalar is not a root of unity")
+                witnesses[orders[c]] = (wi, hi)
     indices = tuple(sorted(witnesses))
     return AIndexReport(indices=indices, kappa=lcm(*indices), witnesses=witnesses)
 

@@ -8,8 +8,6 @@ row-major tuples of such tuples.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .cyclo import CycNum
 
 
@@ -161,10 +159,6 @@ class Matrix:
 
     def rank(self) -> int:
         return rank([list(r) for r in self.rows])
-
-    def nullspace(self):
-        """Basis of the right kernel, as a list of vectors."""
-        return nullspace([list(r) for r in self.rows], self.ncols)
 
     def embed(self):
         """Dense complex nested-list embedding (for the numeric modules)."""
@@ -348,12 +342,3 @@ def is_semisimple(m: Matrix) -> bool:
     p = minimal_polynomial(m)
     return len(poly_gcd(p, poly_derivative(p))) == 1
 
-
-def common_order(ms) -> int:
-    """lcm of the cyclotomic orders appearing in a collection of matrices."""
-    L = 1
-    for m in ms:
-        for row in m.rows:
-            for x in row:
-                L = lcm(L, x.order)
-    return L

@@ -8,8 +8,10 @@ computed lazily since the big sweeps only need the raw element list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import cached_property
+from math import lcm
 
 from .cyclo import CycNum
 from .linalg import Matrix, normalize_first_nonzero, nullspace
@@ -31,15 +33,17 @@ class Reflection:
     root: tuple  # eigenvector for the nontrivial eigenvalue, normalized
     order: int  # order of the reflection itself
     distinguished: bool = False
-    hyperplane: int | None = None  # filled in by the arrangement module
 
 
 class GroupModel:
     """A finite matrix group, closed element list plus lazy structure."""
 
-    def __init__(self, generators, elements, order_bound=DEFAULT_ORDER_BOUND):
+    def __init__(self, generators, elements, spanning_tree, order_bound=DEFAULT_ORDER_BOUND):
         self.generators = tuple(generators)
         self.elements = tuple(elements)
+        # (parents, steps): elements[k] = elements[parents[k]] *
+        # generators[steps[k]] for k > 0; elements[0] is the identity
+        self.spanning_tree = spanning_tree
         self.order_bound = order_bound
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.identity_index = self.index[Matrix.identity(self.dim)]
@@ -59,34 +63,45 @@ class GroupModel:
 
     @staticmethod
     def generate(generators, order_bound=DEFAULT_ORDER_BOUND) -> "GroupModel":
+        """Breadth-first closure, in the one field Q(zeta_K) (K the lcm of
+        the entries' orders) so that equal elements hash equally.  A
+        generator whose determinant is no root of unity is refused first.
+        """
         generators = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
         if not generators:
             raise ValueError("need at least one generator")
+        k = lcm(*(x.order for g in generators for row in g.rows for x in row))
+        generators = [Matrix([[x.lift(k) for x in row] for row in g.rows]) for g in generators]
         n = generators[0].dim
-        for g in generators:
+        for i, g in enumerate(generators):
             if g.dim != n:
                 raise ValueError("generators of mixed dimension")
-            if g.det().is_zero():
+            det = g.det()
+            if det.is_zero():
                 raise ValueError("non-invertible generator")
+            if det.as_root_of_unity() is None:
+                raise NotFiniteWithinBound(
+                    f"generator {i} has determinant {det!r}, not a root of unity, "
+                    "so the group is infinite"
+                )
         ident = Matrix.identity(n)
         seen = {ident: 0}
         elements = [ident]
-        frontier = [ident]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in generators:
-                    y = x * g
-                    if y not in seen:
-                        seen[y] = len(elements)
-                        elements.append(y)
-                        new.append(y)
-                        if len(elements) > order_bound:
-                            raise NotFiniteWithinBound(
-                                f"closure exceeded order bound {order_bound}"
-                            )
-            frontier = new
-        return GroupModel(generators, elements, order_bound)
+        parents, steps = [None], [None]
+        # elements is also the breadth-first queue: it grows while walked
+        for xi, x in enumerate(elements):
+            for gi, g in enumerate(generators):
+                y = x * g
+                if y not in seen:
+                    seen[y] = len(elements)
+                    elements.append(y)
+                    parents.append(xi)
+                    steps.append(gi)
+                    if len(elements) > order_bound:
+                        raise NotFiniteWithinBound(
+                            f"closure exceeded order bound {order_bound}"
+                        )
+        return GroupModel(generators, elements, (tuple(parents), tuple(steps)), order_bound)
 
     # -- products and inverses ---------------------------------------
 
@@ -144,12 +159,19 @@ class GroupModel:
                             nxt.append(y)
                 frontier = nxt
             classes.append(tuple(sorted(cls)))
-        self._class_of = tuple(assigned)
         return tuple(classes)
 
+    @cached_property
+    def class_of(self) -> tuple:
+        """Index into classes of each element's conjugacy class."""
+        out = [0] * self.order
+        for k, cls in enumerate(self.classes):
+            for i in cls:
+                out[i] = k
+        return tuple(out)
+
     def conjugacy_class_of(self, i: int) -> int:
-        self.classes  # noqa: B018 - forces computation of _class_of
-        return self._class_of[i]
+        return self.class_of[i]
 
     @cached_property
     def center(self) -> tuple:
@@ -171,9 +193,7 @@ class GroupModel:
         for i, w in enumerate(self.elements):
             if i == self.identity_index:
                 continue
-            diff = w - ident
-            rows = [list(r) for r in diff.rows]
-            reduced_rows = [r for r in rows if any(not x.is_zero() for x in r)]
+            reduced_rows = [r for r in (w - ident).rows if any(not x.is_zero() for x in r)]
             if not reduced_rows:
                 continue
             alpha = normalize_first_nonzero(reduced_rows[0])
@@ -182,14 +202,8 @@ class GroupModel:
             ):
                 continue  # rank > 1: not a reflection
             ev = w.det()
-            shifted = Matrix(
-                [
-                    [w.rows[r][c] - (ev if r == c else CycNum.zero()) for c in range(n)]
-                    for r in range(n)
-                ]
-            )
-            roots = nullspace([list(r) for r in shifted.rows], n)
-            root = normalize_first_nonzero(roots[0])
+            shifted = (w - ident.scale(ev)).rows
+            root = normalize_first_nonzero(nullspace(shifted, n)[0])
             raw.append(
                 Reflection(
                     element=i,
@@ -199,27 +213,13 @@ class GroupModel:
                     order=self.element_order(i),
                 )
             )
-        # group by hyperplane to set d_H and the distinguished flag
-        by_alpha = {}
-        for r in raw:
-            by_alpha.setdefault(r.alpha, []).append(r)
-        out = []
-        for refs in by_alpha.values():
-            d = len(refs) + 1
-            zeta = CycNum.zeta(d)
-            for r in refs:
-                out.append(
-                    Reflection(
-                        element=r.element,
-                        eigenvalue=r.eigenvalue,
-                        alpha=r.alpha,
-                        root=r.root,
-                        order=r.order,
-                        distinguished=(r.eigenvalue == zeta),
-                    )
-                )
-        out.sort(key=lambda r: r.element)
-        return tuple(out)
+        # d_H - 1 reflections share the hyperplane H; the distinguished
+        # one has eigenvalue exp(2 pi i / d_H)
+        per_alpha = Counter(r.alpha for r in raw)
+        return tuple(
+            replace(r, distinguished=r.eigenvalue == CycNum.zeta(per_alpha[r.alpha] + 1))
+            for r in raw
+        )
 
     # -- invariant form ----------------------------------------------
 
@@ -255,16 +255,13 @@ class GroupModel:
         v = tuple(x if isinstance(x, CycNum) else CycNum.rational(x) for x in v)
         if all(x.is_zero() for x in v):
             raise ValueError("fixer of the zero vector is the whole group")
-        fixed = [i for i, w in enumerate(self.elements) if w.matvec(v) == v]
-        fixer_set = set(fixed)
-        gens = [
-            self.elements[r.element]
-            for r in self.reflections
-            if r.element in fixer_set
-        ]
-        if not gens:
-            gens = [Matrix.identity(self.dim)]
-        sub = GroupModel(gens, [self.elements[i] for i in fixed], self.order_bound)
+        fixed = {i for i, w in enumerate(self.elements) if w.matvec(v) == v}
+        gens = [self.elements[r.element] for r in self.reflections if r.element in fixed]
+        sub = GroupModel.generate(gens or [Matrix.identity(self.dim)], self.order_bound)
+        if sub.order != len(fixed):
+            # Steinberg: a reflection group's fixers are generated by the
+            # reflections they contain
+            raise ArithmeticError("the fixer is not generated by its reflections")
         return sub
 
     def is_subgroup_closed(self) -> bool:

@@ -121,11 +121,10 @@ def monodromy_matrix(a: Arrangement, trace: PathTrace, h: complex) -> np.ndarray
     exponentiated integrals: M[w(H), H] = exp(h * integral_H)."""
     if trace.endpoint_element is None:
         raise ValueError("trace has no endpoint group element")
-    w = a.group.elements[trace.endpoint_element]
+    perm = a.root_action.perms[trace.endpoint_element]
     n_h = len(a.hyperplanes)
     m = np.zeros((n_h, n_h), dtype=complex)
-    for i in range(n_h):
-        j = a.image_hyperplane(w, i)
+    for i, j in enumerate(perm):
         m[j, i] = cmath.exp(h * trace.integrals[i])
     return m
 

@@ -18,11 +18,6 @@ from .linalg import proportionality, rank
 from .matgroup import GroupModel
 
 
-def s2_basis(n: int):
-    """Lexicographic monomial basis (i, j), i <= j, of S^2 V*."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def square_form(alpha):
     """Coefficients of alpha^2 in the lexicographic x_i x_j basis."""
     n = len(alpha)

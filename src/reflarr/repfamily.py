@@ -1,10 +1,14 @@
 """The integer character family chi_n attached to an arrangement.
 
 chi_n(w) sums zeta^n over the hyperplanes whose root line is a
-w-eigenline with eigenvalue zeta.  The family is periodic with period
-kappa, chi_0 is the permutation character on the arrangement, and
-chi_1 determines the rest of the coprime layer through the Galois
-action.  Also houses the signed-permutation model for real groups and
+w-eigenline with eigenvalue zeta: the trace of R_n(w), read from the
+arrangement's root-line action (computed once, in
+:attr:`reflarr.arrangement.Arrangement.root_action`).  Only
+:func:`restriction_check` recomputes eigenvalues from matrices, so that
+its two sides stay independent of that table.  The family is periodic
+with period kappa, chi_0 is the permutation character on the
+arrangement, and chi_1 determines the rest of the coprime layer through
+the Galois action.  Also houses the signed-permutation model for real groups and
 the full decomposition table of the smallest exceptional group.
 """
 
@@ -46,37 +50,19 @@ def class_representatives(g: GroupModel):
     return tuple(min(cls) for cls in g.classes)
 
 
-def _eigen_data(g: GroupModel, a: Arrangement):
-    """Per class representative, the root-line eigenvalues it realizes.
-
-    Cached on the arrangement: this is the hot input to every chi_n.
-    """
-    cache = getattr(a, "_eigen_by_class", None)
-    if cache is not None:
-        return cache
-    data = []
-    for rep in class_representatives(g):
-        w = g.elements[rep]
-        evs = []
-        for h in a.hyperplanes:
-            c = proportionality(w.matvec(h.root), h.root)
-            if c is not None:
-                evs.append(c)
-        data.append(tuple(evs))
-    a._eigen_by_class = tuple(data)
-    return a._eigen_by_class
-
-
 def _power(z: CycNum, n: int) -> CycNum:
     return (z.inverse() ** (-n)) if n < 0 else z**n
 
 
 def chi(g: GroupModel, a: Arrangement, n: int) -> ClassFunction:
+    """chi_n on each conjugacy class; g must be the arrangement's group."""
+    act = a.action_of(g)
     values = []
-    for evs in _eigen_data(g, a):
+    for rep in class_representatives(g):
         acc = CycNum.zero()
-        for z in evs:
-            acc = acc + _power(z, n)
+        for i, (j, c) in enumerate(zip(act.perms[rep], act.coeffs[rep])):
+            if i == j:
+                acc = acc + _power(act.scalars[c], n)
         values.append(acc)
     return ClassFunction(g, tuple(values))
 
@@ -206,9 +192,7 @@ class SignModelRep:
     matrices: tuple  # one {0, +-1} monomial matrix per generator
 
     def matrix_of(self, element_index: int) -> Matrix:
-        return _sign_matrix(
-            self.built, self.built.group.elements[element_index]
-        )
+        return _sign_matrix(self.built, element_index)
 
     def character(self) -> ClassFunction:
         g = self.built.group
@@ -220,22 +204,21 @@ class SignModelRep:
         )
 
 
-def _sign_matrix(built: BuiltGroup, w: Matrix) -> Matrix:
-    roots = built.positive_roots
-    arr = built.arrangement
-    n_h = len(roots)
-    zero = CycNum.zero()
-    cols = []
-    for i in range(n_h):
-        img = w.matvec(roots[i])
-        j = arr.hyperplane_of_root(img)
-        sign = proportionality(img, roots[j])
-        if sign is None or not (sign * sign == CycNum.one()):
+def _sign_matrix(built: BuiltGroup, element_index: int) -> Matrix:
+    """w.f_i = sign f_{w(i)} on the positive roots f_i = t_i e_i.
+
+    The root e_i has first nonzero coordinate 1, so t_i is the first
+    nonzero coordinate of f_i, and sign = t_i c_i / t_{w(i)}.
+    """
+    act = built.arrangement.root_action
+    t = [next(x for x in f if not x.is_zero()) for f in built.positive_roots]
+    perm, coeff = act.perms[element_index], act.coeffs[element_index]
+    rows = [[CycNum.zero()] * len(perm) for _ in perm]
+    for i, (j, c) in enumerate(zip(perm, coeff)):
+        rows[j][i] = t[i] * act.scalars[c] / t[j]
+        if not (rows[j][i] * rows[j][i] == CycNum.one()):
             raise ArithmeticError("positive roots are not +-stable")
-        col = [zero] * n_h
-        col[j] = sign
-        cols.append(col)
-    return Matrix(list(zip(*cols)))
+    return Matrix(rows)
 
 
 def coxeter_sign_model(built: BuiltGroup) -> SignModelRep:
@@ -243,7 +226,8 @@ def coxeter_sign_model(built: BuiltGroup) -> SignModelRep:
     hyperplane basis, signs read off the positive-root system."""
     if built.positive_roots is None:
         raise ValueError(f"{built.label} has no positive-root data")
-    mats = tuple(_sign_matrix(built, gen) for gen in built.group.generators)
+    g = built.group
+    mats = tuple(_sign_matrix(built, g.index[gen]) for gen in g.generators)
     return SignModelRep(built=built, matrices=mats)
 
 

@@ -142,6 +142,30 @@ class TestErrors:
         assert "4, 12" in capsys.readouterr().err
 
 
+class TestExitContract:
+    """Bad specs exit 2 with one error line on stderr and no traceback."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "imprimitive", "d": "3", "e": 1, "r": 2},
+            [{"kind": "exceptional", "st": 4}],
+            {"kind": "explicit", "dim": 1, "generators": [[[2]]]},
+            {"kind": "explicit", "dim": 2, "generators": [[[1, 1], [0, 1]]]},
+            {"kind": "explicit", "dim": 2, "generators": [[[1, 0]]]},
+            {"kind": "coxeter", "type": "B"},
+        ],
+        ids=["string-param", "top-level-list", "det-2", "unipotent", "shape", "missing"],
+    )
+    def test_bad_spec_exits_2(self, spec, tmp_path, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        assert cli.main(["analyze", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestRendering:
     def test_text_is_function_of_json(self, g4_spec, capsys):
         cli.main(["analyze", g4_spec, "--json"])

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reflarr.cyclo import CycNum, cyclotomic_poly, parse_literal, sqrt_minus_two
 
@@ -219,3 +221,39 @@ class TestLiterals:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             parse_literal([1, 0], order=3)
+
+
+class TestHash:
+    """a == b implies hash(a) == hash(b), for values of one order and for
+    rationals at any orders (the invariant CycNum.__hash__ relies on)."""
+
+    @given(
+        m=st.sampled_from([1, 2] + ORDERS),
+        coeffs=st.lists(st.integers(-3, 3), min_size=24, max_size=24),
+        shift=st.lists(st.integers(-2, 2), min_size=24, max_size=24),
+        den=st.integers(1, 4),
+        scale=st.integers(1, 3),
+    )
+    def test_same_order(self, m, coeffs, shift, den, scale):
+        a = CycNum(m, coeffs[:m], den)
+        # the same value, written with a multiple of Phi_m added and the
+        # fraction unreduced
+        num = coeffs[:m] + [0] * m
+        for k, s in enumerate(shift[:m]):
+            for j, p in enumerate(cyclotomic_poly(m)):
+                num[k + j] += s * p
+        b = CycNum(m, [scale * c for c in num], scale * den)
+        assert a == b and hash(a) == hash(b)
+        c = CycNum(m, shift[:m], 1)
+        if a == c:
+            assert hash(a) == hash(c)
+
+    @given(
+        q=st.fractions(max_denominator=50),
+        m1=st.sampled_from([1, 2] + ORDERS),
+        m2=st.sampled_from([1, 2] + ORDERS),
+    )
+    def test_rationals_across_orders(self, q, m1, m2):
+        a = CycNum.rational(q).lift(m1)
+        b = CycNum.rational(q).lift(m2) * CycNum.one(m1)
+        assert a == b and hash(a) == hash(b) == hash(q)

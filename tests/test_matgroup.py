@@ -33,6 +33,23 @@ class TestGenerate:
         with pytest.raises(NotFiniteWithinBound):
             GroupModel.generate([Matrix([[2]])], order_bound=50)
 
+    def test_mixed_field_generators_close_correctly(self):
+        # diag(zeta_3, 1) equals diag(zeta_6^2, 1); before the generators
+        # were lifted to one field their hashes differed and the closure
+        # counted 50 elements
+        one, zero = CycNum.one(), CycNum.zero()
+        s3 = Matrix([[CycNum.zeta(3), zero], [zero, one]])
+        s6 = Matrix([[CycNum.zeta(6, 2), zero], [zero, one]])
+        t = Matrix([[zero, one], [one, zero]])
+        assert s3 == s6
+        assert GroupModel.generate([s3, t]).order == 18
+        assert GroupModel.generate([s3, s6, t]).order == 18
+
+    def test_non_root_of_unity_determinant_refused(self):
+        # refused before the closure walks to the order bound
+        with pytest.raises(NotFiniteWithinBound, match="determinant"):
+            GroupModel.generate([Matrix([[2]])])
+
     def test_non_invertible_generator_rejected(self):
         with pytest.raises(ValueError):
             GroupModel.generate([Matrix([[1, 0], [0, 0]])])
@@ -200,6 +217,15 @@ class TestParabolicFixer:
             if g4.group.elements[r.element].matvec(v) == v
         ]
         assert len(outer) == len(sub.reflections)
+
+    def test_fixer_without_reflections_refused(self):
+        # diag(1, zeta_3, zeta_3^2) fixes e_1 but is no reflection, so the
+        # reflections in the fixer cannot generate it
+        one, zero, z = CycNum.one(3), CycNum.zero(3), CycNum.zeta(3)
+        w = Matrix([[one, zero, zero], [zero, z, zero], [zero, zero, z * z]])
+        g = GroupModel.generate([w])
+        with pytest.raises(ArithmeticError):
+            g.parabolic_fixer((one, zero, zero))
 
     def test_zero_vector_rejected(self, g4):
         with pytest.raises(ValueError):
