@@ -79,13 +79,16 @@ class Arrangement:
         by_alpha: dict[tuple, list] = {}
         for r in g.reflections:
             by_alpha.setdefault(r.alpha, []).append(r)
+        # d_H - 1 reflections share the hyperplane H; the distinguished
+        # one has eigenvalue exp(2 pi i / d_H)
         hyps = [
             Hyperplane(
                 alpha=alpha,
                 root=refs[0].root,
                 d=len(refs) + 1,
                 distinguished_reflection=next(
-                    (r.element for r in refs if r.distinguished), None
+                    (r.element for r in refs if r.eigenvalue == CycNum.zeta(len(refs) + 1)),
+                    None,
                 ),
             )
             for alpha, refs in by_alpha.items()
@@ -100,10 +103,14 @@ class Arrangement:
             for c in covectors
         ]
         if dim is None:
+            if not covs:
+                raise ValueError("no covectors and no dimension")
             dim = len(covs[0])
         hyps = []
         seen = set()
         for c in covs:
+            if len(c) != dim:
+                raise ValueError(f"covector of length {len(c)} in dimension {dim}")
             alpha = normalize_first_nonzero(c)
             if alpha is None or alpha in seen:
                 raise ValueError("zero or duplicate covector")

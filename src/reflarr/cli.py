@@ -17,7 +17,7 @@ from math import gcd
 from . import quadmap
 from .arrangement import Arrangement
 from .catalog import GroupSpec, SUPPORTED_EXCEPTIONALS, build
-from .cyclo import KERNEL
+from .cyclo import KERNEL, parse_literal
 from .kappa import a_indices, divisor_closed, kappa_formula, reference_kappa_table
 from .matgroup import DEFAULT_ORDER_BOUND, NotFiniteWithinBound
 from .repfamily import (
@@ -282,7 +282,10 @@ def _cmd_verify(args) -> tuple[int, dict]:
 def _cmd_poincare(args) -> tuple[int, dict]:
     with open(args.arrangement) as fh:
         data = json.load(fh)
-    arr = Arrangement.from_covectors(data["covectors"])
+    covs = data.get("covectors") if isinstance(data, dict) else None
+    if not isinstance(covs, list) or not all(isinstance(c, list) for c in covs):
+        raise ValueError("an arrangement file must be an object with a list of rows 'covectors'")
+    arr = Arrangement.from_covectors([[parse_literal(x) for x in c] for c in covs])
     report = {
         "schema": SCHEMA,
         "command": "poincare",

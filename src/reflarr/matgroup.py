@@ -1,15 +1,18 @@
 """Finite matrix groups over a cyclotomic field.
 
-Breadth-first closure from generators, conjugacy classes, center,
-reflection detection, the invariant hermitian form, and parabolic
-fixers.  Everything exact; conjugacy classes and the invariant form are
-computed lazily since the big sweeps only need the raw element list.
+Breadth-first closure from generators, which records the Cayley table
+(the index of x * s for every element x and generator s).  Matrices are
+multiplied only by the closure: products, inverses, element orders,
+conjugacy classes, the center and the reflection test all read the
+table.  Also the invariant hermitian form and parabolic fixers.
+Everything exact; structure beyond the element list and the table is
+computed lazily.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
@@ -32,15 +35,17 @@ class Reflection:
     alpha: tuple  # linear form with kernel H, first nonzero coord 1
     root: tuple  # eigenvector for the nontrivial eigenvalue, normalized
     order: int  # order of the reflection itself
-    distinguished: bool = False
 
 
 class GroupModel:
-    """A finite matrix group, closed element list plus lazy structure."""
+    """A finite matrix group: the closed element list, its Cayley table
+    and the structure read from that table."""
 
-    def __init__(self, generators, elements, spanning_tree, order_bound=DEFAULT_ORDER_BOUND):
+    def __init__(self, generators, elements, table, spanning_tree, order_bound=DEFAULT_ORDER_BOUND):
         self.generators = tuple(generators)
         self.elements = tuple(elements)
+        # table[s][x] is the index of elements[x] * generators[s]
+        self.table = table
         # (parents, steps): elements[k] = elements[parents[k]] *
         # generators[steps[k]] for k > 0; elements[0] is the identity
         self.spanning_tree = spanning_tree
@@ -66,6 +71,8 @@ class GroupModel:
         """Breadth-first closure, in the one field Q(zeta_K) (K the lcm of
         the entries' orders) so that equal elements hash equally.  A
         generator whose determinant is no root of unity is refused first.
+        Every product x * s (x an element, s a generator) is formed once,
+        here, and kept in the Cayley table.
         """
         generators = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
         if not generators:
@@ -88,6 +95,7 @@ class GroupModel:
         seen = {ident: 0}
         elements = [ident]
         parents, steps = [None], [None]
+        table = tuple(array("I") for _ in generators)
         # elements is also the breadth-first queue: it grows while walked
         for xi, x in enumerate(elements):
             for gi, g in enumerate(generators):
@@ -101,33 +109,51 @@ class GroupModel:
                         raise NotFiniteWithinBound(
                             f"closure exceeded order bound {order_bound}"
                         )
-        return GroupModel(generators, elements, (tuple(parents), tuple(steps)), order_bound)
+                table[gi].append(seen[y])
+        return GroupModel(
+            generators, elements, table, (tuple(parents), tuple(steps)), order_bound
+        )
 
     # -- products and inverses ---------------------------------------
 
+    def _word(self, j: int) -> list:
+        """Generator indices s_1..s_m with elements[j] = g_{s_1} ... g_{s_m}."""
+        parents, steps = self.spanning_tree
+        word = []
+        while parents[j] is not None:
+            word.append(steps[j])
+            j = parents[j]
+        return word[::-1]
+
+    def _times(self, i: int, word) -> int:
+        """Index of elements[i] * g_{s_1} ... g_{s_m} for word = s_1..s_m."""
+        for s in word:
+            i = self.table[s][i]
+        return i
+
     def mul(self, i: int, j: int) -> int:
-        return self.index[self.elements[i] * self.elements[j]]
+        """Index of elements[i] * elements[j]."""
+        return self._times(i, self._word(j))
+
+    def _powers(self, i: int) -> list:
+        """Indices of x^0, x^1, ..., x^(k-1) for x = elements[i] of order k."""
+        word, powers = self._word(i), [self.identity_index, i]
+        while powers[-1] != self.identity_index:
+            powers.append(self._times(powers[-1], word))
+        return powers[:-1]
 
     def element_order(self, i: int) -> int:
-        x = self.elements[i]
-        p, k = x, 1
-        while not p.is_identity():
-            p = p * x
-            k += 1
-        return k
+        return len(self._powers(i))
 
     @cached_property
     def inverses(self) -> tuple:
         inv = [None] * self.order
-        for i, x in enumerate(self.elements):
-            if inv[i] is not None:
-                continue
-            j = self.index[x ** (self.element_order(i) - 1)]
-            inv[i], inv[j] = j, i
+        for i in range(self.order):
+            if inv[i] is None:
+                powers = self._powers(i)
+                for k, p in enumerate(powers):
+                    inv[p] = powers[-k]  # x^k has inverse x^(order - k)
         return tuple(inv)
-
-    def inverse_index(self, i: int) -> int:
-        return self.inverses[i]
 
     # -- conjugacy structure -----------------------------------------
 
@@ -138,8 +164,8 @@ class GroupModel:
         Classes are ordered by their smallest element index, so the
         identity class comes first.
         """
-        gen_idx = [self.index[g] for g in self.generators]
-        gen_inv = [self.inverse_index(i) for i in gen_idx]
+        gen_idx = [t[self.identity_index] for t in self.table]
+        gen_inv = [self.inverses[i] for i in gen_idx]
         assigned = [None] * self.order
         classes = []
         for start in range(self.order):
@@ -170,83 +196,59 @@ class GroupModel:
                 out[i] = k
         return tuple(out)
 
-    def conjugacy_class_of(self, i: int) -> int:
-        return self.class_of[i]
-
     @cached_property
     def center(self) -> tuple:
-        """Indices of elements commuting with every generator."""
-        return tuple(
-            i
-            for i, x in enumerate(self.elements)
-            if all(x * g == g * x for g in self.generators)
-        )
+        """Indices of the central elements: the singleton classes."""
+        return tuple(cls[0] for cls in self.classes if len(cls) == 1)
 
     # -- reflections -------------------------------------------------
 
     @cached_property
     def reflections(self) -> tuple:
-        """All reflections, with hyperplane data and distinguished flags."""
+        """All reflections with their hyperplane data, by element index.
+
+        Being a reflection, the eigenvalue and the order are class
+        invariants, so rank(w - 1) = 1 is tested on one element per
+        class; form and root are computed for every reflection.
+        """
         n = self.dim
         ident = Matrix.identity(n)
+        per_class = {}
+        for k, cls in enumerate(self.classes):
+            w = self.elements[cls[0]]
+            if (w - ident).rank() == 1:
+                per_class[k] = (w.det(), self.element_order(cls[0]))
         raw = []
-        for i, w in enumerate(self.elements):
-            if i == self.identity_index:
+        # element-index order fixes the order of the hyperplanes
+        for i, k in enumerate(self.class_of):
+            if k not in per_class:
                 continue
-            reduced_rows = [r for r in (w - ident).rows if any(not x.is_zero() for x in r)]
-            if not reduced_rows:
-                continue
-            alpha = normalize_first_nonzero(reduced_rows[0])
-            if any(
-                normalize_first_nonzero(r) != alpha for r in reduced_rows[1:]
-            ):
-                continue  # rank > 1: not a reflection
-            ev = w.det()
-            shifted = (w - ident.scale(ev)).rows
-            root = normalize_first_nonzero(nullspace(shifted, n)[0])
-            raw.append(
-                Reflection(
-                    element=i,
-                    eigenvalue=ev,
-                    alpha=alpha,
-                    root=root,
-                    order=self.element_order(i),
-                )
-            )
-        # d_H - 1 reflections share the hyperplane H; the distinguished
-        # one has eigenvalue exp(2 pi i / d_H)
-        per_alpha = Counter(r.alpha for r in raw)
-        return tuple(
-            replace(r, distinguished=r.eigenvalue == CycNum.zeta(per_alpha[r.alpha] + 1))
-            for r in raw
-        )
+            w = self.elements[i]
+            ev, order = per_class[k]
+            # w - 1 has rank 1: its first nonzero row is a form for H
+            alpha = next(filter(None, map(normalize_first_nonzero, (w - ident).rows)))
+            root = normalize_first_nonzero(nullspace((w - ident.scale(ev)).rows, n)[0])
+            raw.append(Reflection(element=i, eigenvalue=ev, alpha=alpha, root=root, order=order))
+        return tuple(raw)
 
     # -- invariant form ----------------------------------------------
 
     @cached_property
     def invariant_hermitian_form(self) -> Matrix:
-        """The averaged form F with w*^T F w = F for all w, scaled by |W|."""
-        n = self.dim
+        """The averaged form F = sum over w of w*^T w, so w*^T F w = F.
+
+        F is positive definite by construction: for v != 0,
+        v* F v = sum_w |w v|^2 >= |v|^2 > 0, the identity being one of
+        the w.  So only the exact hermitian symmetry is checked; leading
+        minors lie in the real subfield and need not be rational.
+        """
         acc = None
         for w in self.elements:
             t = w.conj_transpose() * w
             acc = t if acc is None else acc + t
         if acc.conj_transpose() != acc:
             raise ArithmeticError("averaged form is not hermitian")
-        self._check_positive_definite(acc)
         return acc
-
-    @staticmethod
-    def _check_positive_definite(f: Matrix):
-        n = f.dim
-        for k in range(1, n + 1):
-            minor = Matrix([row[:k] for row in f.rows[:k]]).det()
-            if not minor.is_rational():
-                raise ArithmeticError(
-                    f"leading minor {k} is not rational; cannot certify exactly"
-                )
-            if minor.as_fraction() <= 0:
-                raise ArithmeticError(f"leading minor {k} is not positive")
 
     # -- parabolic subgroups -----------------------------------------
 
@@ -264,10 +266,3 @@ class GroupModel:
             raise ArithmeticError("the fixer is not generated by its reflections")
         return sub
 
-    def is_subgroup_closed(self) -> bool:
-        """Spot-check closure on all pairs (used by tests on small groups)."""
-        return all(
-            self.elements[i] * self.elements[j] in self.index
-            for i in range(self.order)
-            for j in range(self.order)
-        )

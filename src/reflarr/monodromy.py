@@ -31,24 +31,16 @@ class PathTrace:
 
 
 def _unit_alphas(a: Arrangement) -> np.ndarray:
-    """Rows: alpha_H embedded and scaled to unit norm (cached)."""
-    cached = getattr(a, "_unit_alphas", None)
-    if cached is not None:
-        return cached
+    """Rows: alpha_H embedded and scaled to unit norm."""
     rows = np.array(
         [[x.embed() for x in h.alpha] for h in a.hyperplanes], dtype=complex
     )
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    a._unit_alphas = rows
     return rows
 
 
-def _values(a, point):
-    return _unit_alphas(a) @ np.asarray(point, dtype=complex)
-
-
-def _check_regular(a, point):
-    vals = _values(a, point)
+def _check_regular(alphas: np.ndarray, point):
+    vals = alphas @ point
     if np.min(np.abs(vals)) <= ON_HYPERPLANE_TOL:
         raise ValueError("sample point lies on a hyperplane")
     return vals
@@ -71,15 +63,16 @@ def integrate_path(
     pts = [np.asarray(s, dtype=complex) for s in samples]
     if len(pts) < 2:
         raise ValueError("a path needs at least two samples")
+    alphas = _unit_alphas(a)
     out_pts = [pts[0]]
-    vals_prev = _check_regular(a, pts[0])
+    vals_prev = _check_regular(alphas, pts[0])
     n_h = len(a.hyperplanes)
     total = np.zeros(n_h, dtype=complex)
     for target in pts[1:]:
         stack = [(out_pts[-1], target, 0)]
         while stack:
             lo, hi, depth = stack.pop()
-            vals_hi = _check_regular(a, hi)
+            vals_hi = _check_regular(alphas, hi)
             steps = np.log(vals_hi / vals_prev)
             if np.max(np.abs(steps.imag)) < MAX_STEP_ARG:
                 total += steps
@@ -132,6 +125,7 @@ def monodromy_matrix(a: Arrangement, trace: PathTrace, h: complex) -> np.ndarray
 def default_basepoint(a: Arrangement, seed: int = 0) -> np.ndarray:
     """A reproducible rational-coordinate regular point, chosen as the
     best margin among a small pseudo-random pool."""
+    alphas = _unit_alphas(a)
     rng = random.Random(seed)
     best, best_margin = None, -1.0
     for _ in range(64):
@@ -146,7 +140,7 @@ def default_basepoint(a: Arrangement, seed: int = 0) -> np.ndarray:
         if norm < 1e-6:
             continue
         cand /= norm
-        margin = float(np.min(np.abs(_values(a, cand))))
+        margin = float(np.min(np.abs(alphas @ cand)))
         if margin > best_margin:
             best, best_margin = cand, margin
     if best is None or best_margin <= 1e-3:
@@ -174,7 +168,7 @@ def _waypoint(a: Arrangement, hyp_index: int, basepoint):
     e, pairing = _hermitian_geometry(a, hyp_index)
     z_minus = e * (pairing(e, z) / pairing(e, e))
     z_plus = z - z_minus
-    others = np.abs(_values(a, z_plus))
+    others = np.abs(_unit_alphas(a) @ z_plus)
     others = np.delete(others, hyp_index)
     dist = float(np.min(others)) if others.size else 1.0
     if dist <= ON_HYPERPLANE_TOL * 10:
@@ -249,6 +243,7 @@ def straight_path_to(
     z = np.asarray(basepoint, dtype=complex)
     w = np.array(a.group.elements[element_index].embed(), dtype=complex)
     target = w @ z
+    alphas = _unit_alphas(a)
     line = [z + (target - z) * t for t in np.linspace(0.0, 1.0, steps)]
     try:
         return integrate_path(a, line, endpoint_element=element_index)
@@ -263,7 +258,7 @@ def straight_path_to(
             ],
             dtype=complex,
         )
-        if np.min(np.abs(_values(a, mid))) < 1e-3:
+        if np.min(np.abs(alphas @ mid)) < 1e-3:
             continue
         samples = [z + (mid - z) * t for t in np.linspace(0.0, 1.0, steps)]
         samples += [mid + (target - mid) * t for t in np.linspace(0.0, 1.0, steps)][1:]

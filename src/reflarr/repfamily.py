@@ -33,7 +33,7 @@ class ClassFunction:
     values: tuple  # one CycNum per conjugacy class
 
     def at(self, element_index: int) -> CycNum:
-        return self.values[self.group.conjugacy_class_of(element_index)]
+        return self.values[self.group.class_of[element_index]]
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         return ClassFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
@@ -50,19 +50,16 @@ def class_representatives(g: GroupModel):
     return tuple(min(cls) for cls in g.classes)
 
 
-def _power(z: CycNum, n: int) -> CycNum:
-    return (z.inverse() ** (-n)) if n < 0 else z**n
-
-
 def chi(g: GroupModel, a: Arrangement, n: int) -> ClassFunction:
     """chi_n on each conjugacy class; g must be the arrangement's group."""
     act = a.action_of(g)
+    powers = [z**n for z in act.scalars]
     values = []
     for rep in class_representatives(g):
         acc = CycNum.zero()
         for i, (j, c) in enumerate(zip(act.perms[rep], act.coeffs[rep])):
             if i == j:
-                acc = acc + _power(act.scalars[c], n)
+                acc = acc + powers[c]
         values.append(acc)
     return ClassFunction(g, tuple(values))
 
@@ -176,11 +173,11 @@ def restriction_check(g: GroupModel, a: Arrangement, v) -> bool:
             lhs = CycNum.zero()
             for z in full_evs:
                 if z is not None:
-                    lhs = lhs + _power(z, n)
+                    lhs = lhs + z**n
             rhs = CycNum.rational(perm)
             for z in sub_evs:
                 if z is not None:
-                    rhs = rhs + _power(z, n)
+                    rhs = rhs + z**n
             if lhs != rhs:
                 return False
     return True

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from reflarr import cli
+from reflarr.catalog import _monomial_generators
+from reflarr.cyclo import CycNum
+from reflarr.linalg import Matrix
 
 
 @pytest.fixture()
@@ -142,6 +145,30 @@ class TestErrors:
         assert "4, 12" in capsys.readouterr().err
 
 
+class TestIrrationalForm:
+    def test_conjugated_i2_8_verifies(self, tmp_path, capsys):
+        # I2(8) conjugated by P = [[1, 0], [1 + z8, 1]]: the invariant
+        # form's leading minors are irrational, the form still valid
+        z = CycNum.zeta(8)
+        p = Matrix([[1, 0], [1 + z, 1]])
+        p_inv = p.inverse()
+        gens = [p * s * p_inv for s in _monomial_generators(8, 8, 2)]
+        spec = {
+            "kind": "explicit",
+            "dim": 2,
+            "cyclotomic_order": 8,
+            "generators": [
+                [[[str(c) for c in x.lift(8).coeffs] for x in row] for row in g.rows]
+                for g in gens
+            ],
+        }
+        path = tmp_path / "i2_8.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["verify", str(path), "--suite", "all", "--json"]) == 0
+        rep = _json_out(capsys)
+        assert rep["all_pass"] and rep["kappa"] == rep["period"] == 2
+
+
 class TestExitContract:
     """Bad specs exit 2 with one error line on stderr and no traceback."""
 
@@ -164,6 +191,26 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[1, 0]],
+            {"covectors": []},
+            {"covectors": [[[1, 0], 0], [0, 1]]},
+            {"covectors": [[True, 0], [0, 1]]},
+            {"covectors": [[1, 0], [0]]},
+        ],
+        ids=["top-level-list", "empty", "nested-entry", "boolean", "ragged"],
+    )
+    def test_bad_covectors_exit_2(self, data, tmp_path, capsys):
+        p = tmp_path / "arr.json"
+        p.write_text(json.dumps(data))
+        assert cli.main(["poincare", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "zero or duplicate" not in err
 
 
 class TestRendering:

@@ -56,9 +56,11 @@ class TestGenerate:
 
     def test_closure_and_inverses(self, b2):
         g = b2.group
-        assert g.is_subgroup_closed()
+        for s, gen in enumerate(g.generators):
+            for x, w in enumerate(g.elements):
+                assert g.table[s][x] == g.index[w * gen]
         for i in range(g.order):
-            assert g.mul(i, g.inverse_index(i)) == g.identity_index
+            assert g.mul(i, g.inverses[i]) == g.identity_index
 
 
 class TestClasses:
@@ -72,18 +74,18 @@ class TestClasses:
 
     def test_identity_class_singleton(self, g4):
         g = g4.group
-        k = g.conjugacy_class_of(g.identity_index)
+        k = g.class_of[g.identity_index]
         assert len(g.classes[k]) == 1
 
     def test_central_elements_singleton_classes(self, g4):
         g = g4.group
         for i in g.center:
-            assert len(g.classes[g.conjugacy_class_of(i)]) == 1
+            assert len(g.classes[g.class_of[i]]) == 1
 
     def test_g4_distinguished_reflection_class_size_4(self, g4):
         g = g4.group
-        refl = [r for r in g.reflections if r.distinguished]
-        sizes = {len(g.classes[g.conjugacy_class_of(r.element)]) for r in refl}
+        refl = [h.distinguished_reflection for h in g4.arrangement.hyperplanes]
+        sizes = {len(g.classes[g.class_of[i]]) for i in refl}
         assert sizes == {4}
 
     def test_center_commutes(self, g4):
@@ -113,9 +115,8 @@ class TestReflections:
 
     def test_distinguished_reflections_generate(self, g4):
         gens = [
-            g4.group.elements[r.element]
-            for r in g4.group.reflections
-            if r.distinguished
+            g4.group.elements[h.distinguished_reflection]
+            for h in g4.arrangement.hyperplanes
         ]
         regen = GroupModel.generate(gens)
         assert set(regen.elements) == set(g4.group.elements)

@@ -212,10 +212,18 @@ class TestBasepoint:
 
     def test_regular(self, g12):
         arr = g12.arrangement
-        from reflarr.monodromy import _values
+        from reflarr.monodromy import _unit_alphas
 
         z = default_basepoint(arr, seed=0)
-        assert np.min(np.abs(_values(arr, z))) > 1e-3
+        assert np.min(np.abs(_unit_alphas(arr) @ z)) > 1e-3
+
+    def test_no_cache_written_onto_the_arrangement(self):
+        from reflarr import cli
+
+        built = build(GroupSpec.exceptional(4))
+        checks = cli._run_checks(built, ("monodromy",), 7)
+        assert [c["pass"] for c in checks] == [True]
+        assert "_unit_alphas" not in vars(built.arrangement)
 
     def test_no_endpoint_rejected(self, g4):
         arr = g4.arrangement
