@@ -1,9 +1,9 @@
-"""Compare the compiled arithmetic kernel with the pure-Python fallback.
+"""Time the cyclotomic coefficient kernel.
 
 Times ``mul_reduce`` (cyclic convolution + reduction modulo the
 cyclotomic polynomial) on random integer coefficient vectors for a few
 field orders, then times a small end-to-end workload (building the
-order-24 rank-2 exceptional group) under whichever kernel is active.
+order-24 rank-2 exceptional group).
 
 Run with:  python3 benchmarks/bench_kernel.py
 """
@@ -15,11 +15,6 @@ import time
 
 from reflarr import _kernel_py
 from reflarr.cyclo import KERNEL, cyclotomic_poly
-
-try:
-    from reflarr import _speedups
-except ImportError:
-    _speedups = None
 
 ORDERS = (12, 24, 60, 120)
 REPEATS = 20_000
@@ -56,15 +51,9 @@ def bench_group_build() -> float:
 
 def main() -> None:
     rng = random.Random(0)
-    print(f"active kernel: {KERNEL}")
-    print(f"{'order':>6}  {'python':>10}  {'compiled':>10}  {'speedup':>8}")
+    print(f"{'order':>6}  {'mul_reduce x' + str(REPEATS):>18}")
     for m in ORDERS:
-        t_py = bench_mul_reduce(_kernel_py, m, rng)
-        if _speedups is not None:
-            t_c = bench_mul_reduce(_speedups, m, rng)
-            print(f"{m:>6}  {t_py:>9.3f}s  {t_c:>9.3f}s  {t_py / t_c:>7.1f}x")
-        else:
-            print(f"{m:>6}  {t_py:>9.3f}s  {'n/a':>10}  {'n/a':>8}")
+        print(f"{m:>6}  {bench_mul_reduce(_kernel_py, m, rng):>17.3f}s")
     t_build = bench_group_build()
     print(f"group build (order 24, rank 2, {KERNEL} kernel): {t_build:.3f}s")
 

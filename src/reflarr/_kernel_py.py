@@ -1,10 +1,9 @@
 """Pure-Python kernels for cyclotomic coefficient arithmetic.
 
-These are the reference implementations of the two hot loops (cyclic
-convolution and reduction modulo the m-th cyclotomic polynomial).  A
-compiled twin lives in ``_speedups.pyx``; ``reflarr.cyclo`` picks
-whichever is importable.  Both operate on plain lists of Python ints so
-results are exact for arbitrary magnitudes.
+These are the two hot loops of :mod:`reflarr.cyclo` (cyclic
+convolution and reduction modulo the m-th cyclotomic polynomial).  They
+operate on plain lists of Python ints, so results are exact for
+arbitrary magnitudes.
 """
 
 from __future__ import annotations

@@ -7,6 +7,13 @@ The root-line action w.e_H = c e_{w(H)} is computed here once per
 arrangement (:attr:`Arrangement.root_action`); kappa, the chi_n
 family, the orbits, the Coxeter sign model and the monodromy
 permutations all read it.
+
+A flat of the intersection lattice is the intersection of the
+hyperplanes that contain it, so it is stored as the integer bitmask of
+those hyperplanes (Orlik-Terao, Arrangements of Hyperplanes, 2.1-2.3).
+Exact row reduction runs once per cover relation, to find the flats
+and their masks; the order X <= Y and the Mobius function then run on
+mask inclusion.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from functools import cached_property
 from .cyclo import CycNum
 from .linalg import (
     Matrix,
+    dot,
     hermitian_product,
     normalize_first_nonzero,
     proportionality,
@@ -277,57 +285,79 @@ class Arrangement:
 
     # -- Poincare polynomial -----------------------------------------
 
-    def poincare_polynomial(self) -> list[int]:
-        """Ascending integer coefficients of P_A(t), via Mobius values
-        of the intersection lattice."""
+    def flats(self) -> list[tuple[int, int]]:
+        """The intersection lattice as (rank X, S_X) pairs, by rank.
+
+        A flat X is the intersection of the hyperplanes containing it,
+        so it is keyed by their bitmask S_X (bit i for hyperplane i);
+        V is (0, 0).  The lattice grows rank by rank: from X, each
+        hyperplane j outside S_X and outside the covers of X found so
+        far costs one row reduction of X's RREF basis plus alpha_j,
+        looked up by the resulting RREF.  A new flat gets its mask once,
+        by reducing the remaining alphas against its basis.
+        """
         if len(self) > POINCARE_MAX_HYPERPLANES:
             raise ValueError(
                 f"refusing the intersection lattice beyond "
                 f"{POINCARE_MAX_HYPERPLANES} hyperplanes"
             )
-        alphas = [list(h.alpha) for h in self.hyperplanes]
-        # lattice elements keyed by the RREF of their covector space;
-        # the empty key is the ambient space V (rank 0)
-        lattice = {(): 0}
-        reps = [()]  # RREF row tuples
-        frontier = [()]
-        while frontier:
+        alphas = [h.alpha for h in self.hyperplanes]
+        found = {(): 0}  # RREF of a flat's covector space -> S_X
+        lattice = [(0, 0)]
+        level = [((), 0)]
+        while level:
             nxt = []
-            for x_rows in frontier:
-                for a in alphas:
-                    rows = [list(r) for r in x_rows] + [a]
-                    reduced, piv = rref(rows)
-                    if reduced not in lattice:
-                        lattice[reduced] = len(reps)
-                        reps.append(reduced)
-                        nxt.append(reduced)
-            frontier = nxt
-        ranks = [len(r) for r in reps]
-        # containment: X <= Y as subspaces iff rowspace(Y) within rowspace(X)
-        def contains(big_rows, small_rows):
-            # subspace(big) contains subspace(small) iff covectors of big
-            # are a subset-space of covectors of small
-            return all(
-                solve(list(zip(*[list(r) for r in small_rows])), list(b)) is not None
-                for b in big_rows
-            ) if big_rows else True
+            for x_rows, x_mask in level:
+                covered = x_mask
+                for j, a in enumerate(alphas):
+                    if covered >> j & 1:
+                        continue
+                    rows, pivots = rref([*x_rows, a])
+                    mask = found.get(rows)
+                    if mask is None:
+                        mask = _span_mask(rows, pivots, alphas, x_mask | 1 << j)
+                        found[rows] = mask
+                        lattice.append((len(rows), mask))
+                        nxt.append((rows, mask))
+                    covered |= mask
+            level = nxt
+        return lattice
 
-        order = sorted(range(len(reps)), key=lambda i: ranks[i])
-        mu = [0] * len(reps)
-        for pos, i in enumerate(order):
-            if ranks[i] == 0:
-                mu[i] = 1
-                continue
-            acc = 0
-            for j in order[:pos]:
-                if ranks[j] < ranks[i] and contains(reps[j], reps[i]):
-                    acc += mu[j]
-            mu[i] = -acc
-        max_rank = max(ranks)
-        poly = [0] * (max_rank + 1)
-        for i in range(len(reps)):
-            poly[ranks[i]] += mu[i] * (-1) ** ranks[i]
+    def poincare_polynomial(self) -> list[int]:
+        """Ascending integer coefficients of P_A(t) = sum_X mu(X) (-t)^rank X.
+
+        X <= Y in the lattice of :meth:`flats` iff S_X lies in S_Y, so
+        the Mobius function runs on integer mask inclusion.
+        """
+        lattice = self.flats()
+        # an earlier flat of Y's rank never has its mask inside S_Y, so
+        # the flats below Y are the earlier ones whose mask lies in S_Y
+        mu = [1]  # mu(V)
+        for _, y in lattice[1:]:
+            mu.append(-sum(m for (_, x), m in zip(lattice, mu) if x & ~y == 0))
+        poly = [0] * (lattice[-1][0] + 1)
+        for (r, _), m in zip(lattice, mu):
+            poly[r] += m * (-1) ** r
         return poly
+
+
+def _span_mask(rows, pivots, alphas, known: int) -> int:
+    """``known`` plus the bit of each other alpha in the span of ``rows``.
+
+    The rows are in RREF with the given pivot columns, so v lies in
+    their span iff v - sum_p v[p] row_p vanishes; it vanishes at the
+    pivot columns by construction, so only the free columns are tested.
+    """
+    free = [c for c in range(len(rows[0])) if c not in pivots]
+    columns = [(c, [row[c] for row in rows]) for c in free]
+    mask = known
+    for i, v in enumerate(alphas):
+        if known >> i & 1:
+            continue
+        coeffs = [v[p] for p in pivots]
+        if all(v[c] == dot(coeffs, col) for c, col in columns):
+            mask |= 1 << i
+    return mask
 
 
 @dataclass(frozen=True)

@@ -94,58 +94,85 @@ def _chi_section(built, n_range) -> dict:
     }
 
 
+def _phi_checks(built, seed, add):
+    g, arr = built.group, built.arrangement
+    sec = _phi_section(built)
+    irr = arr.irreducibility().irreducible if arr.is_essential() else False
+    add(
+        "phi_surjective_iff_irreducible",
+        sec["surjective"] == irr,
+        f"rank {sec['rank']} of {sec['target_dim']}",
+    )
+    add(
+        "hyperplane_bound",
+        len(arr) >= g.dim * (g.dim + 1) // 2 if irr else True,
+        f"|A| = {len(arr)}",
+    )
+
+
+def _kappa_checks(built, seed, add):
+    rep = a_indices(built.group, built.arrangement)
+    add("kappa_divisor_closed", divisor_closed(rep), f"kappa: {rep.kappa}")
+    if built.spec.kind == "imprimitive":
+        expect = kappa_formula(built.spec.d, built.spec.e, built.spec.r)
+        add("kappa_formula", rep.kappa == expect, f"formula: {expect}")
+    if built.spec.kind == "exceptional":
+        expect = reference_kappa_table()[built.spec.st]
+        add("kappa_reference", rep.kappa == expect, f"table: {expect}")
+
+
+def _chi_checks(built, seed, add):
+    g, arr = built.group, built.arrangement
+    rep = a_indices(g, arr)
+    period = check_periodicity(g, arr)
+    add("period", period == rep.kappa, f"period: {period}")
+    for n in range(rep.kappa + 1):
+        kernel_of_Rn(g, arr, n)
+    add("kernels", True, f"n = 0..{rep.kappa}")
+    galois_ok = all(
+        galois_check(g, arr, n)
+        for n in range(1, rep.kappa)
+        if gcd(n, rep.kappa) == 1
+    )
+    add("galois", galois_ok, "chi_n = c_n o chi_1")
+    if built.spec.kind == "exceptional" and built.spec.st == 4:
+        add("g4_table", g4_table_check(), "six rows")
+
+
+def _monodromy_checks(built, seed, add):
+    if built.group.dim > 2:
+        add("monodromy", True, "skipped: rank > 2")
+    else:
+        add("monodromy", *_monodromy_check(built, seed))
+
+
+SUITES = {
+    "phi": _phi_checks,
+    "kappa": _kappa_checks,
+    "chi": _chi_checks,
+    "monodromy": _monodromy_checks,
+}
+
+
+def _guarded(checks, name, fn):
+    """fn(), or None once an ArithmeticError it raised is recorded as
+    the failed check ``name``: exact arithmetic that contradicts itself
+    is a failed check, not a crash."""
+    try:
+        return fn()
+    except ArithmeticError as exc:
+        checks.append({"name": name, "pass": False, "detail": str(exc)})
+        return None
+
+
 def _run_checks(built, suites, seed) -> list:
     checks = []
 
     def add(name, ok, detail=""):
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
-    g, arr = built.group, built.arrangement
-    if "phi" in suites:
-        sec = _phi_section(built)
-        irr = arr.irreducibility().irreducible if arr.is_essential() else False
-        add(
-            "phi_surjective_iff_irreducible",
-            sec["surjective"] == irr,
-            f"rank {sec['rank']} of {sec['target_dim']}",
-        )
-        add(
-            "hyperplane_bound",
-            len(arr) >= g.dim * (g.dim + 1) // 2 if irr else True,
-            f"|A| = {len(arr)}",
-        )
-    if "kappa" in suites:
-        rep = a_indices(g, arr)
-        add("kappa_divisor_closed", divisor_closed(rep), f"kappa: {rep.kappa}")
-        if built.spec.kind == "imprimitive":
-            expect = kappa_formula(built.spec.d, built.spec.e, built.spec.r)
-            add("kappa_formula", rep.kappa == expect, f"formula: {expect}")
-        if built.spec.kind == "exceptional":
-            expect = reference_kappa_table()[built.spec.st]
-            add("kappa_reference", rep.kappa == expect, f"table: {expect}")
-    if "chi" in suites:
-        rep = a_indices(g, arr)
-        period = check_periodicity(g, arr)
-        add("period", period == rep.kappa, f"period: {period}")
-        try:
-            for n in range(rep.kappa + 1):
-                kernel_of_Rn(g, arr, n)
-            add("kernels", True, f"n = 0..{rep.kappa}")
-        except ArithmeticError as exc:
-            add("kernels", False, str(exc))
-        galois_ok = all(
-            galois_check(g, arr, n)
-            for n in range(1, rep.kappa)
-            if gcd(n, rep.kappa) == 1
-        )
-        add("galois", galois_ok, "chi_n = c_n o chi_1")
-        if built.spec.kind == "exceptional" and built.spec.st == 4:
-            add("g4_table", g4_table_check(), "six rows")
-    if "monodromy" in suites:
-        if g.dim > 2:
-            add("monodromy", True, "skipped: rank > 2")
-        else:
-            add("monodromy", *_monodromy_check(built, seed))
+    for suite in suites:
+        _guarded(checks, suite, lambda: SUITES[suite](built, seed, add))
     return checks
 
 
@@ -259,19 +286,21 @@ def _cmd_chi(args) -> tuple[int, dict]:
 
 def _cmd_verify(args) -> tuple[int, dict]:
     built = build(_load_spec(args.spec), args.order_bound)
-    suites = (
-        ("phi", "kappa", "chi", "monodromy") if args.suite == "all" else (args.suite,)
-    )
+    suites = tuple(SUITES) if args.suite == "all" else (args.suite,)
     checks = _run_checks(built, suites, args.seed)
-    rep = a_indices(built.group, built.arrangement)
+    g, arr = built.group, built.arrangement
+    kappa = _guarded(checks, "report_kappa", lambda: a_indices(g, arr).kappa)
+    period = (
+        _guarded(checks, "report_period", lambda: check_periodicity(g, arr))
+        if "chi" in suites
+        else None
+    )
     report = {
         "schema": SCHEMA,
         "command": "verify",
         "group": _summary(built),
-        "kappa": rep.kappa,
-        "period": check_periodicity(built.group, built.arrangement)
-        if "chi" in suites
-        else None,
+        "kappa": kappa,
+        "period": period,
         "seed": args.seed,
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
@@ -361,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=["phi", "kappa", "chi", "monodromy", "all"],
+        choices=[*SUITES, "all"],
     )
     common(p)
     p.set_defaults(fn=_cmd_verify)

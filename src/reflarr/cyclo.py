@@ -10,8 +10,7 @@ to the lcm of their orders.
 
 Orders stay small here (m <= 24 for every built-in group), so the
 dense representation wins on simplicity.  The inner loops (cyclic
-convolution + reduction) are delegated to a compiled kernel when the
-optional extension is available.
+convolution + reduction) live in :mod:`reflarr._kernel_py`.
 """
 
 from __future__ import annotations
@@ -21,14 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-try:  # compiled fast path, see _speedups.pyx
-    from . import _speedups as _kernel
+from . import _kernel_py as _kernel
 
-    KERNEL = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernel_py as _kernel
-
-    KERNEL = "python"
+KERNEL = "python"  # reported in CLI and benchmark records
 
 _mul_reduce = _kernel.mul_reduce
 _poly_reduce = _kernel.poly_reduce

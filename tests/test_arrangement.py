@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from reflarr.arrangement import (
@@ -7,6 +9,7 @@ from reflarr.arrangement import (
     poly_mul,
 )
 from reflarr.catalog import GroupSpec, build, imprimitive_order
+from reflarr.linalg import rank
 from reflarr.matgroup import GroupModel
 
 
@@ -245,11 +248,69 @@ class TestPoincare:
         for arr in (g4.arrangement, braid5):
             assert poly_divisible(arr.poincare_polynomial(), [1, 1])
 
-    def test_size_refusal(self):
+    def test_size_refusal(self, monkeypatch):
+        import reflarr.arrangement as arrangement
+
         covs = [[1, k] for k in range(13)]
         arr = Arrangement.from_covectors(covs)
-        with pytest.raises(ValueError):
+
+        def no_row_reduction(rows):
+            raise AssertionError("row reduction before the size refusal")
+
+        # the refusal comes first, by name, before any lattice work
+        monkeypatch.setattr(arrangement, "rref", no_row_reduction)
+        with pytest.raises(ValueError, match="beyond 12 hyperplanes"):
             arr.poincare_polynomial()
+
+    @pytest.mark.parametrize(
+        "case", ["empty", "two-planes", "G4", "G(3,3,3)", "B3", "braid5"]
+    )
+    def test_matches_whitney_formula(self, case, g4, braid5):
+        arr = {
+            "empty": lambda: Arrangement.from_covectors([], dim=3),
+            "two-planes": lambda: Arrangement.from_covectors([[1, 0, 0], [0, 1, 0]]),
+            "G4": lambda: g4.arrangement,
+            "G(3,3,3)": lambda: build(GroupSpec.imprimitive(1, 3, 3)).arrangement,
+            "B3": lambda: build(GroupSpec.coxeter("B", 3)).arrangement,
+            "braid5": lambda: braid5,
+        }[case]()
+        assert arr.poincare_polynomial() == _whitney_poincare(arr)
+
+    def test_a4_flats_per_rank(self):
+        # x_i - x_j in dimension 5: flats are set partitions of 5 points
+        covs = [
+            [1 if k == i else -1 if k == j else 0 for k in range(5)]
+            for i, j in itertools.combinations(range(5), 2)
+        ]
+        flats = Arrangement.from_covectors(covs).flats()
+        assert [sum(r == k for r, _ in flats) for k in range(5)] == [1, 10, 25, 15, 1]
+
+    def test_flat_masks_are_closed(self, g4):
+        # S_X holds every hyperplane through X and no other: adding any
+        # further form raises the rank
+        for arr in (g4.arrangement, build(GroupSpec.coxeter("B", 3)).arrangement):
+            alphas = [list(h.alpha) for h in arr.hyperplanes]
+            flats = arr.flats()
+            assert len({mask for _, mask in flats}) == len(flats)
+            for r, mask in flats:
+                inside = [a for i, a in enumerate(alphas) if mask >> i & 1]
+                assert rank(inside) == r
+                for i, a in enumerate(alphas):
+                    if not mask >> i & 1:
+                        assert rank(inside + [a]) == r + 1
+
+
+def _whitney_poincare(arr):
+    """P_A(t) from Whitney's formula chi(t) = sum_{S subset A} (-1)^|S|
+    t^(dim - rank S): the coefficient of t^r is (-1)^r times the signed
+    count of the subsets of rank r.  No lattice is built."""
+    alphas = [list(h.alpha) for h in arr.hyperplanes]
+    poly = [0] * (rank(alphas) + 1)
+    for size in range(len(alphas) + 1):
+        for subset in itertools.combinations(alphas, size):
+            r = rank(list(subset))
+            poly[r] += (-1) ** (r + size)
+    return poly
 
 
 class TestBound:

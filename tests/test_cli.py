@@ -66,6 +66,48 @@ class TestVerify:
         rep = capsys.readouterr().out
         assert "False" in rep
 
+    @pytest.mark.parametrize(
+        "suite,target",
+        [
+            ("phi", "_phi_section"),
+            ("kappa", "divisor_closed"),
+            ("chi", "kernel_of_Rn"),
+            ("monodromy", "_monodromy_check"),
+        ],
+    )
+    def test_arithmetic_error_is_a_failed_named_check(
+        self, suite, target, g4_spec, capsys, monkeypatch
+    ):
+        def contradiction(*args):
+            raise ArithmeticError(f"{target} contradicts itself")
+
+        monkeypatch.setattr(cli, target, contradiction)
+        assert cli.main(["verify", g4_spec, "--suite", suite, "--json"]) == 1
+        rep = _json_out(capsys)
+        assert rep["all_pass"] is False and rep["kappa"] == 6
+        assert [c for c in rep["checks"] if not c["pass"]] == [
+            {"name": suite, "pass": False, "detail": f"{target} contradicts itself"}
+        ]
+
+    def test_arithmetic_error_in_periodicity(self, g4_spec, capsys, monkeypatch):
+        def no_period(g, arr):
+            raise ArithmeticError("no period up to 2*kappa")
+
+        monkeypatch.setattr(cli, "check_periodicity", no_period)
+        assert cli.main(["verify", g4_spec, "--suite", "all", "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        rep = json.loads(out)
+        failed = [(c["name"], c["detail"]) for c in rep["checks"] if not c["pass"]]
+        # the chi suite stops at the error; the report's period is null
+        assert failed == [
+            ("chi", "no period up to 2*kappa"),
+            ("report_period", "no period up to 2*kappa"),
+        ]
+        assert rep["period"] is None
+        names = [c["name"] for c in rep["checks"]]
+        assert "monodromy" in names and "kappa_reference" in names
+
 
 class TestAnalyze:
     def test_reducible_group(self, reducible_spec, capsys):
