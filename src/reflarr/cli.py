@@ -129,12 +129,10 @@ def _chi_checks(built, seed, add):
     for n in range(rep.kappa + 1):
         kernel_of_Rn(g, arr, n)
     add("kernels", True, f"n = 0..{rep.kappa}")
-    galois_ok = all(
-        galois_check(g, arr, n)
-        for n in range(1, rep.kappa)
-        if gcd(n, rep.kappa) == 1
-    )
-    add("galois", galois_ok, "chi_n = c_n o chi_1")
+    coprime = [n for n in range(1, rep.kappa) if gcd(n, rep.kappa) == 1]
+    failure = next((n for n in coprime if not galois_check(g, arr, n)), None)
+    detail = "chi_n = c_n o chi_1" if failure is None else f"fails at n = {failure}"
+    add("galois", failure is None, detail)
     if built.spec.kind == "exceptional" and built.spec.st == 4:
         add("g4_table", g4_table_check(), "six rows")
 
@@ -314,7 +312,10 @@ def _cmd_poincare(args) -> tuple[int, dict]:
     covs = data.get("covectors") if isinstance(data, dict) else None
     if not isinstance(covs, list) or not all(isinstance(c, list) for c in covs):
         raise ValueError("an arrangement file must be an object with a list of rows 'covectors'")
-    arr = Arrangement.from_covectors([[parse_literal(x) for x in c] for c in covs])
+    order = data.get("cyclotomic_order", 1)
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ValueError(f"'cyclotomic_order' must be a positive int, got {order!r}")
+    arr = Arrangement.from_covectors([[parse_literal(x, order) for x in c] for c in covs])
     report = {
         "schema": SCHEMA,
         "command": "poincare",

@@ -6,7 +6,10 @@ kept in canonical form: reduced modulo the m-th cyclotomic polynomial
 (so all coefficients at exponents >= phi(m) are zero), numerators
 coprime with the (positive) common denominator.  Equality of values is
 equality of canonical forms; mixed-order arithmetic lifts both operands
-to the lcm of their orders.
+to the lcm of their orders.  Inversion needs no linear system: the
+Galois norm of a value is rational, and dividing the product of its
+other conjugates by it gives the inverse.  Linear algebra over these
+scalars, subfield rewriting included, lives in :mod:`reflarr.linalg`.
 
 Orders stay small here (m <= 24 for every built-in group), so the
 dense representation wins on simplicity.  The inner loops (cyclic
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 from . import _kernel_py as _kernel
@@ -173,27 +176,6 @@ class CycNum:
                 num[k * step] = c
         return CycNum(new_order, num, self.den)
 
-    def rewrite(self, new_order: int) -> "CycNum":
-        """Re-express in Q(zeta_{new_order}) if the value lies there."""
-        if new_order % self.order == 0:
-            return self.lift(new_order)
-        big = lcm(self.order, new_order)
-        lifted = self.lift(big)
-        # basis of the subfield Q(zeta_new) inside Q(zeta_big)
-        deg_new = len(cyclotomic_poly(new_order)) - 1
-        step = big // new_order
-        cols = []
-        for k in range(deg_new):
-            vec = [0] * big
-            vec[(k * step) % big] = 1
-            _poly_reduce(vec, big, cyclotomic_poly(big))
-            cols.append([Fraction(c) for c in vec])
-        target = [Fraction(c, lifted.den) for c in lifted.num]
-        sol = _solve_rational(cols, target)
-        if sol is None:
-            raise ValueError(f"value does not lie in Q(zeta_{new_order})")
-        return CycNum.from_fractions(new_order, sol + [0] * (new_order - deg_new))
-
     @staticmethod
     def _common(a: "CycNum", b: "CycNum") -> tuple["CycNum", "CycNum"]:
         if a.order == b.order:
@@ -244,27 +226,26 @@ class CycNum:
         return self.__mul__(other)
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse, via the multiplication-by-self system."""
+        """Multiplicative inverse, via the Galois norm.
+
+        N(x) = prod over a in (Z/m)^x of galois(a)(x) is rational, so
+        x^-1 is the product of the conjugates other than x itself,
+        divided by N(x).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero in Q(zeta_m)")
         m = self.order
         if self.is_rational():
             f = 1 / self.as_fraction()
             return CycNum(m, [f.numerator] + [0] * (m - 1), f.denominator)
-        phi = cyclotomic_poly(m)
-        deg = len(phi) - 1
-        # columns: canonical form of self * zeta^k, k < phi(m)
-        cols = []
-        vec = list(self.num)
-        for k in range(deg):
-            cols.append([Fraction(c, self.den) for c in vec])
-            vec = vec[-1:] + vec[:-1]  # multiply by zeta (cyclic shift)
-            _poly_reduce(vec, m, phi)
-        target = [Fraction(1)] + [Fraction(0)] * (m - 1)
-        sol = _solve_rational(cols, target)
-        if sol is None:  # cannot happen in a field
-            raise ArithmeticError("inversion system is singular")
-        return CycNum.from_fractions(m, sol + [0] * (m - deg))
+        rest = reduce(
+            CycNum.__mul__, (self.galois(a) for a in range(2, m) if gcd(a, m) == 1)
+        )
+        norm = self * rest
+        if not norm.is_rational():  # cannot happen in a field
+            raise ArithmeticError("Galois norm is not rational")
+        num, den = _normalize([c * norm.den for c in rest.num], rest.den * norm.num[0])
+        return CycNum(m, num, den, _canonical=True)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -349,6 +330,8 @@ class CycNum:
         # stored at different orders collide; irrational values are only
         # ever hashed alongside same-order peers (one field per group).
         if self.is_rational():
+            if self.den == 1:
+                return hash(self.num[0])  # = hash(Fraction(n, 1))
             return hash(Fraction(self.num[0], self.den))
         return hash((self.order, self.num, self.den))
 
@@ -369,38 +352,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return CycNum.rational(x)
     return NotImplemented
-
-
-def _solve_rational(cols, target):
-    """Solve sum_k x_k cols[k] = target over Q; None if inconsistent."""
-    n_rows = len(target)
-    n_cols = len(cols)
-    aug = [[cols[j][i] for j in range(n_cols)] + [target[i]] for i in range(n_rows)]
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(row, n_rows) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    # consistency on the remaining rows
-    for r in range(row, n_rows):
-        if aug[r][n_cols]:
-            return None
-    sol = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n_cols]
-    return sol
 
 
 # convenience literals used throughout the package

@@ -1,14 +1,18 @@
 """Exact linear algebra over cyclotomic scalars.
 
-Everything here is pivot-by-first-nonzero Gaussian elimination; no
-numerical heuristics are needed over an exact field.  Vectors are
-tuples of :class:`~reflarr.cyclo.CycNum`, matrices are immutable
-row-major tuples of such tuples.
+One Gaussian elimination, :func:`_row_reduce` (pivot by first
+nonzero, no numerical heuristics over an exact field), serves rank,
+nullspace, solve, inverse, the determinant and rewriting a value into
+a cyclotomic subfield.  Vectors are tuples of
+:class:`~reflarr.cyclo.CycNum`, matrices are immutable row-major
+tuples of such tuples.
 """
 
 from __future__ import annotations
 
-from .cyclo import CycNum
+from math import lcm
+
+from .cyclo import CycNum, cyclotomic_poly
 
 
 def _as_cyc(x):
@@ -131,28 +135,14 @@ class Matrix:
         )
 
     def det(self) -> CycNum:
-        n = self.dim
-        rows = [list(r) for r in self.rows]
-        det = CycNum.one()
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-            if piv is None:
-                return CycNum.zero()
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det = det * rows[col][col]
-            inv = rows[col][col].inverse()
-            for r in range(col + 1, n):
-                if not rows[r][col].is_zero():
-                    f = rows[r][col] * inv
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        return det
+        _, pivots, factor = _row_reduce([list(r) for r in self.rows])
+        return factor if len(pivots) == self.dim else CycNum.zero()
 
     def inverse(self) -> "Matrix":
         n = self.dim
-        aug = [list(r) + list(Matrix.identity(n).rows[i]) for i, r in enumerate(self.rows)]
-        aug, pivots = _row_reduce(aug)
+        ident = Matrix.identity(n).rows
+        aug = [list(r) + list(e) for r, e in zip(self.rows, ident)]
+        aug, pivots, _ = _row_reduce(aug)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix([row[n:] for row in aug[:n]])
@@ -217,9 +207,14 @@ def proportionality(u, v):
 
 
 def _row_reduce(rows):
-    """In-place RREF; returns (rows, pivot column list)."""
+    """In-place RREF; returns (rows, pivot column list, determinant factor).
+
+    The factor is the product of the pivots before scaling, negated once
+    per row swap: the determinant of a square matrix of full rank.
+    """
+    factor = CycNum.one()
     if not rows:
-        return rows, []
+        return rows, [], factor
     nrows, ncols = len(rows), len(rows[0])
     pivots = []
     r = 0
@@ -229,22 +224,27 @@ def _row_reduce(rows):
         piv = next((i for i in range(r, nrows) if not rows[i][col].is_zero()), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [inv * x for x in rows[r]]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            factor = -factor
+        p = rows[r][col]
+        if not (p.num[0] == p.den and p.is_rational()):  # pivot is not 1
+            factor = factor * p
+            inv = p.inverse()
+            rows[r] = [inv * x for x in rows[r]]
         for i in range(nrows):
             if i != r and not rows[i][col].is_zero():
                 f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
-    return rows, pivots
+    return rows, pivots, factor
 
 
 def rref(rows):
     """Canonical reduced row-echelon form, zero rows dropped."""
     work = [list(r) for r in rows]
-    work, pivots = _row_reduce(work)
+    work, pivots, _ = _row_reduce(work)
     return tuple(tuple(row) for row in work[: len(pivots)]), pivots
 
 
@@ -277,6 +277,28 @@ def solve(rows, target):
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols]
     return tuple(x)
+
+
+def rewrite(x: CycNum, order: int) -> CycNum:
+    """Re-express x in Q(zeta_order) if the value lies there.
+
+    Solves for the coordinates of x in the basis zeta_order^k,
+    k < phi(order), of the subfield inside Q(zeta_L), L = lcm of the
+    orders; ValueError if there are none.
+    """
+    if order % x.order == 0:
+        return x.lift(order)
+    big = lcm(x.order, order)
+    deg = len(cyclotomic_poly(order)) - 1
+    step = big // order
+    basis = [CycNum.zeta(big, k * step).coeffs for k in range(deg)]
+    rows = [[CycNum.rational(v[i]) for v in basis] for i in range(big)]
+    target = [CycNum.rational(c) for c in x.lift(big).coeffs]
+    sol = solve(rows, target)
+    if sol is None:
+        raise ValueError(f"value does not lie in Q(zeta_{order})")
+    coords = [c.as_fraction() for c in sol]
+    return CycNum.from_fractions(order, coords + [0] * (order - deg))
 
 
 # -- polynomials over the cyclotomic field (for semisimplicity checks) --

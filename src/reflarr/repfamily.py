@@ -23,7 +23,7 @@ from .arrangement import Arrangement
 from .catalog import BuiltGroup, GroupSpec, build
 from .cyclo import CycNum
 from .kappa import a_indices
-from .linalg import Matrix, dot, proportionality
+from .linalg import Matrix, dot, proportionality, rewrite
 from .matgroup import GroupModel
 
 
@@ -89,7 +89,8 @@ def kernel_of_Rn(g: GroupModel, a: Arrangement, n: int):
     """Elements with chi_n(w) = chi_n(1), i.e. the kernel of R_n.
 
     Cross-checked against {w in Z(W) : w^n = 1}; a mismatch would
-    falsify the kernel description and raises.
+    falsify the kernel description and raises, naming the first element
+    index in one set but not the other.
     """
     f = chi(g, a, n)
     full = f.at(g.identity_index)
@@ -101,8 +102,10 @@ def kernel_of_Rn(g: GroupModel, a: Arrangement, n: int):
     )
     central = sorted(i for i in g.center if n % g.element_order(i) == 0)
     if kernel != central:
+        witness = min(set(kernel) ^ set(central))
         raise ArithmeticError(
             f"kernel of R_{n} disagrees with the central description"
+            f" at element {witness}"
         )
     return tuple(kernel)
 
@@ -130,7 +133,7 @@ def galois_check(g: GroupModel, a: Arrangement, n: int) -> bool:
     chi1 = chi(g, a, 1)
     chin = chi(g, a, n)
     for v1, vn in zip(chi1.values, chin.values):
-        if v1.rewrite(kappa).galois(n) != vn:
+        if rewrite(v1, kappa).galois(n) != vn:
             return False
     return True
 

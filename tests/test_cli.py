@@ -89,6 +89,15 @@ class TestVerify:
             {"name": suite, "pass": False, "detail": f"{target} contradicts itself"}
         ]
 
+    def test_failed_galois_check_names_n(self, g4_spec, capsys, monkeypatch):
+        # kappa(G4) = 6: the coprime layer is n = 1, 5
+        monkeypatch.setattr(cli, "galois_check", lambda g, arr, n: n != 5)
+        assert cli.main(["verify", g4_spec, "--suite", "chi", "--json"]) == 1
+        rep = _json_out(capsys)
+        assert [c for c in rep["checks"] if not c["pass"]] == [
+            {"name": "galois", "pass": False, "detail": "fails at n = 5"}
+        ]
+
     def test_arithmetic_error_in_periodicity(self, g4_spec, capsys, monkeypatch):
         def no_period(g, arr):
             raise ArithmeticError("no period up to 2*kappa")
@@ -169,6 +178,30 @@ class TestPoincare:
         assert rep["coefficients"] == [1, 5, 8, 4]
         assert rep["essential"] is True
 
+    @staticmethod
+    def _monomial_covectors(m):
+        """e_i - zeta_m^k e_j for i < j in C^3: the arrangement of G(m,m,3),
+        entries written as cyclotomic literals of length m."""
+        zero, one = [0] * m, [1] + [0] * (m - 1)
+        rows = []
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            for k in range(m):
+                row = [zero, zero, zero]
+                row[i] = one
+                row[j] = [-1 if t == k else 0 for t in range(m)]
+                rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("m,coefficients", [(3, [1, 9, 24, 16]), (4, [1, 12, 41, 30])])
+    def test_cyclotomic_arrangement(self, m, coefficients, tmp_path, capsys):
+        p = tmp_path / "arr.json"
+        data = {"cyclotomic_order": m, "covectors": self._monomial_covectors(m)}
+        p.write_text(json.dumps(data))
+        assert cli.main(["poincare", str(p), "--json"]) == 0
+        rep = _json_out(capsys)
+        assert rep["hyperplanes"] == 3 * m
+        assert rep["coefficients"] == coefficients
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -243,8 +276,12 @@ class TestExitContract:
             {"covectors": [[[1, 0], 0], [0, 1]]},
             {"covectors": [[True, 0], [0, 1]]},
             {"covectors": [[1, 0], [0]]},
+            {"covectors": [[1, 0], [0, 1]], "cyclotomic_order": 0},
+            {"covectors": [[1, 0], [0, 1]], "cyclotomic_order": "3"},
+            {"covectors": [[1, 0], [0, 1]], "cyclotomic_order": True},
         ],
-        ids=["top-level-list", "empty", "nested-entry", "boolean", "ragged"],
+        ids=["top-level-list", "empty", "nested-entry", "boolean", "ragged",
+             "order-zero", "order-string", "order-boolean"],
     )
     def test_bad_covectors_exit_2(self, data, tmp_path, capsys):
         p = tmp_path / "arr.json"

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reflarr.cyclo import CycNum, cyclotomic_poly, parse_literal, sqrt_minus_two
+from reflarr.linalg import rewrite
 
 ORDERS = [3, 4, 6, 8, 12, 24]
 
@@ -79,7 +83,7 @@ class TestFieldOps:
             assert a.conjugate().conjugate() == a
             assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
-    @pytest.mark.parametrize("m", ORDERS)
+    @pytest.mark.parametrize("m", ORDERS + [5, 9, 10, 15, 20])
     def test_field_axioms_on_random_triples(self, m):
         rng = random.Random(m)
         one = CycNum.one(m)
@@ -197,17 +201,17 @@ class TestEmbed:
 class TestRewrite:
     def test_descend_rational(self):
         x = CycNum.zeta(3) + CycNum.zeta(3, 2)  # equals -1
-        assert x.rewrite(1) == CycNum.rational(-1)
+        assert rewrite(x, 1) == CycNum.rational(-1)
 
     def test_descend_subfield(self):
         # zeta_8 + zeta_8^3 lies in Q(zeta_8), sqrt(-2) has conductor 8
         r = sqrt_minus_two().lift(24)
-        back = r.rewrite(8)
+        back = rewrite(r, 8)
         assert back.order == 8 and back == sqrt_minus_two()
 
     def test_rejects_outside_subfield(self):
         with pytest.raises(ValueError):
-            CycNum.zeta(8).rewrite(4)
+            rewrite(CycNum.zeta(8), 4)
 
 
 class TestLiterals:
@@ -250,10 +254,26 @@ class TestHash:
 
     @given(
         q=st.fractions(max_denominator=50),
+        n=st.integers(-(2**70), 2**70),
         m1=st.sampled_from([1, 2] + ORDERS),
         m2=st.sampled_from([1, 2] + ORDERS),
     )
-    def test_rationals_across_orders(self, q, m1, m2):
+    def test_rationals_across_orders(self, q, n, m1, m2):
         a = CycNum.rational(q).lift(m1)
         b = CycNum.rational(q).lift(m2) * CycNum.one(m1)
         assert a == b and hash(a) == hash(b) == hash(q)
+        # integer values take the hash(int) path, which must agree with
+        # both int and Fraction
+        assert hash(CycNum.rational(q)) == hash(q)
+        c = CycNum.rational(n)
+        assert hash(c) == hash(c.lift(m1)) == hash(n) == hash(Fraction(n))
+
+
+def test_cyclo_does_not_import_linalg():
+    # the scalar layer stands below linear algebra: no elimination in it
+    code = "import sys, reflarr.cyclo; print('reflarr.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -56,6 +57,38 @@ def test_det_multiplicative():
     rng = random.Random(3)
     a, b = rand_matrix(rng, 3), rand_matrix(rng, 3)
     assert (a * b).det() == a.det() * b.det()
+
+
+def leibniz_det(a):
+    """Reference determinant: the signed sum over all permutations."""
+    n = a.dim
+    total = CycNum.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = CycNum.rational(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * a[i, j]
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_det_matches_leibniz_over_zeta8(n):
+    rng = random.Random(n)
+    cases = [rand_matrix(rng, n, 8) for _ in range(12)]
+    for a in list(cases[:4]):
+        rows = [list(r) for r in a.rows]
+        # a zero leading entry forces a row swap
+        rows[0][0] = CycNum.zero(8)
+        cases.append(Matrix(rows))
+        # repeated rows: singular
+        cases.append(Matrix(rows[:-1] + [rows[0]]))
+        # a row that is a zeta_8 multiple of another: singular
+        cases.append(Matrix(rows[:-1] + [[CycNum.zeta(8, 3) * x for x in rows[1]]]))
+    assert any(c.det().is_zero() for c in cases)
+    assert any(c[0, 0].is_zero() and not c.det().is_zero() for c in cases)
+    for a in cases:
+        assert a.det() == leibniz_det(a)
 
 
 def test_singular_inverse_raises():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from reflarr import repfamily
 from reflarr.arrangement import Arrangement
 from reflarr.catalog import GroupSpec, build
 from reflarr.cyclo import CycNum
@@ -180,6 +181,21 @@ class TestKernels:
         assert kernel_of_Rn(g, arr, 1) == (g.identity_index,)
         for n in range(2, kappa + 1):
             kernel_of_Rn(g, arr, n)
+
+    def test_disagreement_names_an_element(self, g4, monkeypatch):
+        g, arr = g4.group, g4.arrangement
+        true_chi = repfamily.chi
+
+        def flat_chi(g, a, n):
+            # chi_n(w) = chi_n(1) everywhere: every element looks like kernel
+            full = true_chi(g, a, n).at(g.identity_index)
+            return ClassFunction(g, tuple(full for _ in g.classes))
+
+        monkeypatch.setattr(repfamily, "chi", flat_chi)
+        central = {i for i in g.center if 2 % g.element_order(i) == 0}
+        witness = min(set(range(g.order)) ^ central)
+        with pytest.raises(ArithmeticError, match=f"at element {witness}$"):
+            kernel_of_Rn(g, arr, 2)
 
     def test_g4_even_kernel_is_center(self, g4):
         g, arr = g4.group, g4.arrangement
