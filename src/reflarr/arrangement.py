@@ -3,10 +3,10 @@ the group's monomial action on the root lines, W-orbits, essentiality
 and irreducibility via the root graph, and intersection-lattice
 Poincare polynomials.
 
-The root-line action w.e_H = c e_{w(H)} is computed here once per
-arrangement (:attr:`Arrangement.root_action`); kappa, the chi_n
-family, the orbits, the Coxeter sign model and the monodromy
-permutations all read it.
+The action w.r_H = zeta_K^e r_{w(H)} on the transported roots of
+:attr:`GroupModel.root_lines` is computed once per arrangement
+(:attr:`Arrangement.root_action`); kappa, chi_n, the orbits, the Coxeter
+sign model and the monodromy permutations all read it.
 
 A flat of the intersection lattice is the intersection of the
 hyperplanes that contain it, so it is stored as the integer bitmask of
@@ -33,7 +33,7 @@ from .linalg import (
     rref,
     solve,
 )
-from .matgroup import GroupModel
+from .matgroup import GroupModel, RootAction
 
 POINCARE_MAX_HYPERPLANES = 12
 
@@ -41,21 +41,9 @@ POINCARE_MAX_HYPERPLANES = 12
 @dataclass(frozen=True)
 class Hyperplane:
     alpha: tuple  # linear form with kernel H, first nonzero coord 1
-    root: tuple  # spans the F-orthogonal line, first nonzero coord 1
+    root: tuple  # spans the F-orthogonal line; for a group, orbit-transported
     d: int  # order of the pointwise fixer of H
     distinguished_reflection: int | None  # element index, None if standalone
-
-
-@dataclass(frozen=True)
-class RootAction:
-    """Element w (by index) sends the root e_i of hyperplane i to
-    ``scalars[coeffs[w][i]] * e_{perms[w][i]}``; each distinct scalar
-    is stored once in ``scalars``.
-    """
-
-    perms: tuple
-    coeffs: tuple
-    scalars: tuple
 
 
 class Arrangement:
@@ -87,19 +75,19 @@ class Arrangement:
         by_alpha: dict[tuple, list] = {}
         for r in g.reflections:
             by_alpha.setdefault(r.alpha, []).append(r)
-        # d_H - 1 reflections share the hyperplane H; the distinguished
-        # one has eigenvalue exp(2 pi i / d_H)
+        # d_H - 1 reflections share H, the distinguished one has eigenvalue
+        # exp(2 pi i / d_H); by_alpha and root_lines order H alike
         hyps = [
             Hyperplane(
                 alpha=alpha,
-                root=refs[0].root,
+                root=root,
                 d=len(refs) + 1,
                 distinguished_reflection=next(
                     (r.element for r in refs if r.eigenvalue == CycNum.zeta(len(refs) + 1)),
                     None,
                 ),
             )
-            for alpha, refs in by_alpha.items()
+            for (alpha, refs), root in zip(by_alpha.items(), g.root_lines[0])
         ]
         return Arrangement(g.dim, hyps, group=g)
 
@@ -141,50 +129,33 @@ class Arrangement:
     def root_action(self) -> RootAction:
         """The group's monomial action on the root lines.
 
-        Only the generator rows are computed from matrices.  Every other
-        row is composed along the group's spanning tree: for w = x s,
-        w.e_i = c_s(i) c_x(s(i)) e_{x(s(i))}, each product of two stored
-        scalars computed once.  Equal permutation rows share one tuple;
-        scalar indices are stored as compact unsigned-int arrays.
+        The generator rows come from :attr:`GroupModel.root_lines`; every
+        other row is composed along the group's spanning tree: for w = x s,
+        w.r_i = zeta_K^(e_s(i) + e_x(s(i))) r_{x(s(i))}.  Equal permutation
+        rows share one tuple; exponents are compact unsigned-int arrays.
         """
         g = self.group
         if g is None:
             raise ValueError("a standalone arrangement has no group action")
-        roots = [h.root for h in self.hyperplanes]
-        scalars, ids, products, distinct_perms = [], {}, {}, {}
-
-        def intern(c):
-            if c not in ids:
-                ids[c] = len(scalars)
-                scalars.append(c)
-            return ids[c]
-
-        def times(a, b):
-            if (a, b) not in products:
-                products[a, b] = intern(scalars[a] * scalars[b])
-            return products[a, b]
-
-        gen_rows = []
-        for s in g.generators:
-            perm, coeff = [], []
-            for root in roots:
-                img = s.matvec(root)
-                j = self.hyperplane_of_root(img)
-                if j is None:
-                    raise ArithmeticError("group element does not permute the arrangement")
-                perm.append(j)
-                coeff.append(intern(proportionality(img, roots[j])))
-            gen_rows.append((perm, coeff))
-        perms = [tuple(range(len(roots)))]  # elements[0] is the identity
-        coeffs = [array("I", [intern(CycNum.one())]) * len(roots)]
+        roots, gens = g.root_lines
+        mod = len(gens.units)
+        own = [roots.index(h.root) for h in self.hyperplanes]
+        pos = {i: j for j, i in enumerate(own)}
+        if any(p[i] not in pos for p in gens.perms for i in own):
+            raise ArithmeticError("group element does not permute the arrangement")
+        gen_rows = [([pos[p[i]] for i in own], [x[i] for i in own])
+                    for p, x in zip(gens.perms, gens.exps)]
+        perms = [tuple(range(len(own)))]  # elements[0] is the identity
+        exps = [array("I", [0]) * len(own)]
+        distinct_perms = {}
         parents, steps = g.spanning_tree
         for x, gi in zip(parents[1:], steps[1:]):
-            s_perm, s_coeff = gen_rows[gi]
-            x_perm, x_coeff = perms[x], coeffs[x]
+            s_perm, s_exp = gen_rows[gi]
+            x_perm, x_exp = perms[x], exps[x]
             perm = tuple(x_perm[j] for j in s_perm)
             perms.append(distinct_perms.setdefault(perm, perm))
-            coeffs.append(array("I", [times(c, x_coeff[j]) for j, c in zip(s_perm, s_coeff)]))
-        return RootAction(tuple(perms), tuple(coeffs), tuple(scalars))
+            exps.append(array("I", [(e + x_exp[j]) % mod for j, e in zip(s_perm, s_exp)]))
+        return RootAction(tuple(perms), tuple(exps), gens.units)
 
     def action_of(self, g: GroupModel) -> RootAction:
         """root_action, refusing any group but the arrangement's own."""

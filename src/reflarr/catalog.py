@@ -4,18 +4,17 @@ Covers the imprimitive family G(de,e,r), the real (Coxeter) types A, B,
 D and the dihedrals I2(m) realized inside that family, the two
 supported exceptional groups (Shephard-Todd numbers 4 and 12), and
 fully explicit generator matrices.  Coxeter types also carry positive
-root data for the signed-permutation model.
+root data, orbit-transported roots, for the signed-permutation model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .arrangement import Arrangement, essentialize
 from .cyclo import CycNum, parse_literal, sqrt_minus_two
-from .linalg import Matrix, scale_vec
+from .linalg import Matrix
 from .matgroup import DEFAULT_ORDER_BOUND, GroupModel
 
 
@@ -220,6 +219,8 @@ def build(spec: GroupSpec, order_bound: int = DEFAULT_ORDER_BOUND) -> BuiltGroup
             for gmat in spec.generators
         ]
         g = GroupModel.generate(gens, order_bound)
+        if not g.reflections:
+            raise ValueError("the explicit generators give a group with no reflections")
         return BuiltGroup(spec, g, Arrangement.from_group(g))
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
@@ -265,29 +266,11 @@ def _build_coxeter(spec, order_bound) -> BuiltGroup:
 
 
 def coxeter_positive_roots(g: GroupModel, arr: Arrangement):
-    """One real root per hyperplane, orbit-transported so that every
-    w maps roots to +/- roots, then signed into the lexicographic-
-    positive chamber (first nonzero coordinate positive).
-
-    Only valid for groups whose matrices are rational (the real catalog
-    types); raises otherwise.
-    """
-    for gen in g.generators:
-        for row in gen.rows:
-            for x in row:
-                if not x.is_rational():
-                    raise ValueError("positive-root transport needs a rational model")
-    # w.e_seed = c e_j gives the transported root c e_j; any w reaching
-    # line j gives the same c up to sign, since W acts orthogonally
-    act = arr.action_of(g)
-    scale = [None] * len(arr.hyperplanes)
-    for orbit in arr.orbits:
-        seed = orbit[0]
-        for perm, coeff in zip(act.perms, act.coeffs):
-            if scale[perm[seed]] is None:
-                scale[perm[seed]] = act.scalars[coeff[seed]]
-    # e_j has first nonzero coordinate 1, so |c| e_j is the positive root
-    return tuple(
-        scale_vec(CycNum.rational(abs(c.as_fraction())), h.root)
-        for c, h in zip(scale, arr.hyperplanes)
-    )
+    """The orbit-transported roots, each negated if its first nonzero
+    coordinate is negative.  W sends them to roots of unity times roots,
+    +-1 in a rational model; raises for any other model."""
+    if not all(x.is_rational() for gen in g.generators for row in gen.rows for x in row):
+        raise ValueError("positive-root transport needs a rational model")
+    roots = [h.root for h in arr.hyperplanes]
+    lead = [next(x for x in r if not x.is_zero()).as_fraction() for r in roots]
+    return tuple(r if c > 0 else tuple(-x for x in r) for r, c in zip(roots, lead))

@@ -365,6 +365,7 @@ def parse_literal(value, order: int = 1) -> CycNum:
 
     Rationals are ints or "p/q" strings; cyclotomic values are arrays of
     ``order`` rational literals (coefficient of zeta_order^k at index k).
+    A float must be an integer: 0.1, infinities and NaN are refused.
     """
     if isinstance(value, (list, tuple)):
         if len(value) != order:
@@ -374,4 +375,6 @@ def parse_literal(value, order: int = 1) -> CycNum:
         return CycNum.from_fractions(order, [parse_literal(v).as_fraction() for v in value])
     if isinstance(value, bool) or not isinstance(value, (int, float, str, Fraction)):
         raise ValueError(f"not a rational literal: {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"float {value!r} is not an integer; write rationals as 'p/q'")
     return CycNum.rational(Fraction(value))

@@ -1,10 +1,10 @@
 """Scalars picked up by roots under the group action.
 
-For each hyperplane H and each w with w.e_H = zeta e_H the order of
-zeta is recorded; kappa is the lcm of all such orders.  The pairs and
-their scalars are read from the arrangement's root-line action
-(:attr:`reflarr.arrangement.Arrangement.root_action`), not recomputed
-from matrices.  The realized index set is always the full divisor set
+For each hyperplane H and each w with w.r_H = zeta_K^e r_H the order
+K / gcd(e, K) of the scalar is recorded; kappa is the lcm of all such
+orders.  The pairs and their exponents are read from the arrangement's
+root-line action (:attr:`reflarr.arrangement.Arrangement.root_action`),
+not recomputed from matrices.  The realized index set is always the full divisor set
 of kappa, there is a closed formula in the monomial family, and a
 reference table covers the exceptional types.
 """
@@ -12,7 +12,7 @@ reference table covers the exceptional types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .arrangement import Arrangement
 from .matgroup import GroupModel
@@ -29,18 +29,17 @@ def a_indices(g: GroupModel, a: Arrangement) -> AIndexReport:
     """Sweep all (w, H) pairs for root-line eigenvalues.
 
     A pair contributes when w maps the root line of H to itself; the
-    eigenvalue is a root of unity whose order is recorded with a
+    order of its eigenvalue zeta_K^e is K / gcd(e, K), recorded with a
     witness.  g must be the arrangement's own group.
     """
     act = a.action_of(g)
-    orders = [c.as_root_of_unity() for c in act.scalars]  # None if not one
+    mod = len(act.units)
+    orders = [mod // gcd(e, mod) for e in range(mod)]
     witnesses: dict[int, tuple[int, int]] = {}
-    for wi, (perm, coeff) in enumerate(zip(act.perms, act.coeffs)):
-        for hi, (j, c) in enumerate(zip(perm, coeff)):
-            if j == hi and orders[c] not in witnesses:
-                if orders[c] is None:
-                    raise ArithmeticError("root-line scalar is not a root of unity")
-                witnesses[orders[c]] = (wi, hi)
+    for wi, (perm, exps) in enumerate(zip(act.perms, act.exps)):
+        for hi, (j, e) in enumerate(zip(perm, exps)):
+            if j == hi and orders[e] not in witnesses:
+                witnesses[orders[e]] = (wi, hi)
     indices = tuple(sorted(witnesses))
     return AIndexReport(indices=indices, kappa=lcm(*indices), witnesses=witnesses)
 

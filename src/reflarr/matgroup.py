@@ -4,9 +4,9 @@ Breadth-first closure from generators, which records the Cayley table
 (the index of x * s for every element x and generator s).  Matrices are
 multiplied only by the closure: products, inverses, element orders,
 conjugacy classes, the center and the reflection test all read the
-table.  Also the invariant hermitian form and parabolic fixers.
-Everything exact; structure beyond the element list and the table is
-computed lazily.
+table.  Also orbit-transported roots, the invariant hermitian form
+built from them, and parabolic fixers.  Everything exact; structure
+beyond the element list and the table is computed lazily.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cached_property
 from math import lcm
 
 from .cyclo import CycNum
-from .linalg import Matrix, normalize_first_nonzero, nullspace
+from .linalg import Matrix, normalize_first_nonzero, nullspace, proportionality, vec_sum
 
 DEFAULT_ORDER_BOUND = 10_000
 
@@ -35,6 +35,18 @@ class Reflection:
     alpha: tuple  # linear form with kernel H, first nonzero coord 1
     root: tuple  # eigenvector for the nontrivial eigenvalue, normalized
     order: int  # order of the reflection itself
+
+
+@dataclass(frozen=True)
+class RootAction:
+    """Row k sends the root r_i to ``units[exps[k][i]] * r_{perms[k][i]}``,
+    ``units[e]`` = zeta_K^e in the group's field Q(zeta_k), K = lcm(2, k).
+    One row per generator in :attr:`GroupModel.root_lines`, per element
+    in :attr:`reflarr.arrangement.Arrangement.root_action`."""
+
+    perms: tuple
+    exps: tuple  # one array('I') of exponents mod K per row
+    units: tuple
 
 
 class GroupModel:
@@ -231,24 +243,58 @@ class GroupModel:
             raw.append(Reflection(element=i, eigenvalue=ev, alpha=alpha, root=root, order=order))
         return tuple(raw)
 
-    # -- invariant form ----------------------------------------------
+    # -- roots and the invariant form --------------------------------
+
+    @cached_property
+    def root_lines(self) -> tuple:
+        """(roots, RootAction of the generators): per reflecting hyperplane,
+        by first reflection, r_H = the normalized root at each orbit's
+        first H, then r_{s(H)} := s r_H breadth first.  With r_H = u_H r_0,
+        u_{w(H)}^-1 w u_H fixes the line of r_0, so w r_H is a root of
+        unity times r_{w(H)}.  Images are found by their normalized root.
+        """
+        k = self.generators[0].rows[0][0].order  # generate lifted all to Q(zeta_k)
+        z = CycNum.zeta(k) if k % 2 == 0 else -CycNum.zeta(k, (k + 1) // 2)  # zeta_2k if k odd
+        exponent = {z**e: e for e in range(lcm(2, k))}  # the units, in order
+        index = {}
+        for r in self.reflections:
+            index.setdefault(r.root, len(index))
+        roots = [None] * len(index)
+        perms = [[0] * len(index) for _ in self.generators]
+        exps = [array("I", [0]) * len(index) for _ in self.generators]
+        for seed, line in enumerate(index):
+            if roots[seed] is None:
+                roots[seed], orbit = line, [seed]
+                for i in orbit:  # the orbit grows while walked: breadth first
+                    for s, gen in enumerate(self.generators):
+                        img = gen.matvec(roots[i])
+                        j = index[normalize_first_nonzero(img)]
+                        if roots[j] is None:
+                            roots[j] = img
+                            orbit.append(j)
+                        c = proportionality(img, roots[j])
+                        if c not in exponent:
+                            raise ArithmeticError(f"generator {s}: {c!r} is no root of unity")
+                        perms[s][i], exps[s][i] = j, exponent[c]
+        return tuple(roots), RootAction(tuple(map(tuple, perms)), tuple(exps), tuple(exponent))
 
     @cached_property
     def invariant_hermitian_form(self) -> Matrix:
-        """The averaged form F = sum over w of w*^T w, so w*^T F w = F.
+        """F = M^-1, M = sum_H r_H r_H^* + sum_u u u^*, so w^* F w = F.
 
-        F is positive definite by construction: for v != 0,
-        v* F v = sum_w |w v|^2 >= |v|^2 > 0, the identity being one of
-        the w.  So only the exact hermitian symmetry is checked; leading
-        minors lie in the real subfield and need not be rational.
+        r_H runs over the transported roots, u over a basis of V^W; w r_H
+        is a root of unity times r_{w(H)} and w u = u, so w M w^* = M.  A
+        sum of v v^*, M is positive definite in every complex embedding
+        when those v span V, as they do for a group generated by reflections.
         """
-        acc = None
-        for w in self.elements:
-            t = w.conj_transpose() * w
-            acc = t if acc is None else acc + t
-        if acc.conj_transpose() != acc:
-            raise ArithmeticError("averaged form is not hermitian")
-        return acc
+        n, ident = self.dim, Matrix.identity(self.dim)
+        fixed = nullspace([row for s in self.generators for row in (s - ident).rows], n)
+        vecs = [*self.root_lines[0], *fixed]
+        m = Matrix([[vec_sum(v[i] * v[j].conjugate() for v in vecs) for j in range(n)]
+                    for i in range(n)])
+        if m.det().is_zero():
+            raise ValueError("the group is not generated by reflections: roots and V^W do not span")
+        return m.inverse()
 
     # -- parabolic subgroups -----------------------------------------
 

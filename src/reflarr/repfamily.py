@@ -1,15 +1,16 @@
 """The integer character family chi_n attached to an arrangement.
 
 chi_n(w) sums zeta^n over the hyperplanes whose root line is a
-w-eigenline with eigenvalue zeta: the trace of R_n(w), read from the
-arrangement's root-line action (computed once, in
-:attr:`reflarr.arrangement.Arrangement.root_action`).  Only
+w-eigenline with eigenvalue zeta = zeta_K^e: the trace of R_n(w), read
+as integer exponents from the arrangement's root-line action (computed
+once, in :attr:`reflarr.arrangement.Arrangement.root_action`).  Only
 :func:`restriction_check` recomputes eigenvalues from matrices, so that
 its two sides stay independent of that table.  The family is periodic
 with period kappa, chi_0 is the permutation character on the
 arrangement, and chi_1 determines the rest of the coprime layer through
-the Galois action.  Also houses the signed-permutation model for real groups and
-the full decomposition table of the smallest exceptional group.
+the Galois action.  Also houses the signed-permutation model for real
+groups (the K = 2 case of the root-line action) and the full
+decomposition table of the smallest exceptional group.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .arrangement import Arrangement
 from .catalog import BuiltGroup, GroupSpec, build
 from .cyclo import CycNum
 from .kappa import a_indices
-from .linalg import Matrix, dot, proportionality, rewrite
+from .linalg import Matrix, dot, proportionality, rewrite, vec_sum
 from .matgroup import GroupModel
 
 
@@ -53,14 +54,14 @@ def class_representatives(g: GroupModel):
 def chi(g: GroupModel, a: Arrangement, n: int) -> ClassFunction:
     """chi_n on each conjugacy class; g must be the arrangement's group."""
     act = a.action_of(g)
-    powers = [z**n for z in act.scalars]
+    mod = len(act.units)
     values = []
     for rep in class_representatives(g):
-        acc = CycNum.zero()
-        for i, (j, c) in enumerate(zip(act.perms[rep], act.coeffs[rep])):
+        counts = [0] * mod  # fixed root lines by exponent
+        for i, (j, e) in enumerate(zip(act.perms[rep], act.exps[rep])):
             if i == j:
-                acc = acc + powers[c]
-        values.append(acc)
+                counts[e] += 1
+        values.append(vec_sum(c * act.units[n * e % mod] for e, c in enumerate(counts) if c))
     return ClassFunction(g, tuple(values))
 
 
@@ -205,19 +206,15 @@ class SignModelRep:
 
 
 def _sign_matrix(built: BuiltGroup, element_index: int) -> Matrix:
-    """w.f_i = sign f_{w(i)} on the positive roots f_i = t_i e_i.
-
-    The root e_i has first nonzero coordinate 1, so t_i is the first
-    nonzero coordinate of f_i, and sign = t_i c_i / t_{w(i)}.
-    """
+    """w.f_i = sign f_{w(i)} on the positive roots f_i = +-r_i: the sign
+    is zeta_K^e (K = 2 in a rational model) from w.r_i = zeta_K^e r_{w(i)},
+    negated when exactly one of f_i, f_{w(i)} is a flipped root."""
     act = built.arrangement.root_action
-    t = [next(x for x in f if not x.is_zero()) for f in built.positive_roots]
-    perm, coeff = act.perms[element_index], act.coeffs[element_index]
+    flipped = [f != h.root for f, h in zip(built.positive_roots, built.arrangement.hyperplanes)]
+    perm, exps = act.perms[element_index], act.exps[element_index]
     rows = [[CycNum.zero()] * len(perm) for _ in perm]
-    for i, (j, c) in enumerate(zip(perm, coeff)):
-        rows[j][i] = t[i] * act.scalars[c] / t[j]
-        if not (rows[j][i] * rows[j][i] == CycNum.one()):
-            raise ArithmeticError("positive roots are not +-stable")
+    for i, (j, e) in enumerate(zip(perm, exps)):
+        rows[j][i] = act.units[e] if flipped[i] == flipped[j] else -act.units[e]
     return Matrix(rows)
 
 

@@ -10,7 +10,9 @@ import random
 
 import pytest
 
+from reflarr.arrangement import Arrangement
 from reflarr.catalog import _monomial_generators, g4_generators
+from reflarr.kappa import a_indices
 from reflarr.linalg import Matrix, rank
 from reflarr.matgroup import GroupModel
 from test_root_action import GROUPS
@@ -124,3 +126,7 @@ def test_structure_needs_no_matrix_product_after_closure(generators, monkeypatch
     assert len(g.inverses) == len(g.class_of) == g.order
     assert g.identity_index in g.center
     assert g.reflections
+    arr = Arrangement.from_group(g)
+    assert len(arr.root_action.exps) == g.order
+    assert a_indices(g, arr).kappa == 6
+    assert g.invariant_hermitian_form.conj_transpose() == g.invariant_hermitian_form

@@ -292,6 +292,40 @@ class TestExitContract:
         assert "zero or duplicate" not in err
 
 
+    def test_infinite_covector_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "arr.json"
+        p.write_text('{"covectors": [[1, Infinity], [0, 1]]}')
+        assert cli.main(["poincare", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "float" in err
+
+
+class TestReflectionFree:
+    """An explicit spec whose group has no reflections is refused by name."""
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--suite", "kappa"], ["chi"]], ids=["verify-kappa", "chi"]
+    )
+    def test_rotation_exits_2(self, argv, tmp_path, capsys):
+        p = tmp_path / "rot.json"
+        p.write_text(json.dumps(
+            {"kind": "explicit", "dim": 2, "generators": [[[0, -1], [1, 0]]]}
+        ))
+        assert cli.main([argv[0], str(p), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "no reflections" in err
+
+    def test_non_essential_monodromy_passes(self, tmp_path, capsys):
+        # one reflection in rank 2: the form needs the fixed line V^W
+        p = tmp_path / "flip.json"
+        p.write_text(json.dumps(
+            {"kind": "explicit", "dim": 2, "generators": [[[-1, 0], [0, 1]]]}
+        ))
+        assert cli.main(["verify", str(p), "--suite", "monodromy"]) == 0
+
+
 class TestRendering:
     def test_text_is_function_of_json(self, g4_spec, capsys):
         cli.main(["analyze", g4_spec, "--json"])

@@ -226,6 +226,14 @@ class TestLiterals:
         with pytest.raises(ValueError):
             parse_literal([1, 0], order=3)
 
+    @pytest.mark.parametrize("value", [0.1, float("inf"), float("nan")])
+    def test_inexact_float_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="float"):
+            parse_literal(value)
+
+    def test_integral_float_parses(self):
+        assert parse_literal(2.0) == CycNum.rational(2)
+
 
 class TestHash:
     """a == b implies hash(a) == hash(b), for values of one order and for

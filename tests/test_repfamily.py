@@ -337,6 +337,34 @@ class TestSignModel:
             built.group, built.arrangement, 1
         ).values
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GroupSpec.coxeter("A", 3),
+            GroupSpec.coxeter("B", 3),
+            GroupSpec.coxeter("D", 4),
+            GroupSpec.coxeter("I2", 6),
+        ],
+    )
+    def test_matrices_are_the_exponent_rows(self, spec):
+        # w.r_i = (-1)^e r_w(i) on the transported roots; the positive
+        # roots flip some of them, which conjugates by a sign diagonal
+        built = build(spec)
+        arr = built.arrangement
+        act = arr.root_action
+        assert len(act.units) == 2
+        sign = []
+        for f, h in zip(built.positive_roots, arr.hyperplanes):
+            assert f in (h.root, tuple(-x for x in h.root))
+            sign.append(1 if f == h.root else -1)
+        model = coxeter_sign_model(built)
+        n = len(arr)
+        for wi in range(built.group.order):
+            rows = [[0] * n for _ in range(n)]
+            for i, (j, e) in enumerate(zip(act.perms[wi], act.exps[wi])):
+                rows[j][i] = sign[i] * sign[j] * (-1) ** e
+            assert model.matrix_of(wi) == Matrix(rows), wi
+
     def test_matrices_are_signed_permutations(self, a3):
         model = coxeter_sign_model(a3)
         allowed = {CycNum.zero(), CycNum.one(), CycNum.rational(-1)}

@@ -1,20 +1,23 @@
-"""The root-line action table against the exact matrix path.
+"""The root-line action table and the invariant form against the
+exact matrix path.
 
 Arrangement.root_action composes every row from the generator rows;
-these tests recompute w.e_i with matvec and proportionality for every
-element and hyperplane, and rebuild a_indices from a direct sweep.
+these tests recompute w.r_i with matvec for every element and
+hyperplane, and rebuild a_indices from a direct sweep.  The form
+computed from the transported roots is compared with the |W|-term
+average sum_w w^* w.
 """
 
 import itertools
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from reflarr.arrangement import Arrangement
-from reflarr.catalog import GroupSpec, build
+from reflarr.catalog import GroupSpec, _monomial_generators, build
 from reflarr.cyclo import CycNum
 from reflarr.kappa import a_indices
-from reflarr.linalg import Matrix, dot, nullspace, proportionality
+from reflarr.linalg import Matrix, dot, hermitian_product, nullspace, proportionality
 from reflarr.matgroup import GroupModel
 from reflarr.repfamily import chi
 
@@ -72,15 +75,17 @@ def test_table_matches_matvec(name):
     for wi, w in enumerate(g.elements):
         for i, root in enumerate(roots):
             j = act.perms[wi][i]
-            c = act.scalars[act.coeffs[wi][i]]
-            assert w.matvec(root) == tuple(c * x for x in roots[j]), (wi, i)
+            u = act.units[act.exps[wi][i]]
+            assert w.matvec(root) == tuple(u * x for x in roots[j]), (wi, i)
 
 
-def test_scalars_are_stored_once():
+def test_exponents_realize_mu_6():
     g, arr = GROUPS["G(3,1,3)"]()
-    scalars = arr.root_action.scalars
+    act = arr.root_action
     # the root-line scalars of G(3,1,3) are the sixth roots of unity
-    assert len(scalars) == len(set(scalars)) == 6
+    assert len(act.units) == 6 and act.units[1].as_root_of_unity() == 6
+    assert all(u == act.units[1] ** e for e, u in enumerate(act.units))
+    assert set().union(*act.exps) == set(range(6))
 
 
 def _direct_sweep(g, arr):
@@ -124,3 +129,74 @@ class TestCrossGroup:
         assert not hasattr(g, "_class_of")
         for k, cls in enumerate(g.classes):
             assert all(g.class_of[i] == k for i in cls)
+
+
+def _conjugated_i2_8():
+    """I2(8) conjugated by P = [[1, 0], [1 + z8, 1]]: irrational form."""
+    p = Matrix([[1, 0], [1 + CycNum.zeta(8), 1]])
+    p_inv = p.inverse()
+    return GroupModel.generate([p * s * p_inv for s in _monomial_generators(8, 8, 2)])
+
+
+FORM_GROUPS = {name: (lambda make=make: make()[0]) for name, make in GROUPS.items()}
+FORM_GROUPS["I2(8)^P"] = _conjugated_i2_8
+
+
+def _averaged_form(g):
+    acc = None
+    for w in g.elements:
+        t = w.conj_transpose() * w
+        acc = t if acc is None else acc + t
+    return acc
+
+
+def _totally_positive(c):
+    """c is real and positive under every embedding of its field."""
+    m = c.order
+    return c == c.conjugate() and all(
+        c.galois(a).embed().real > 0 for a in range(1, m + 1) if gcd(a, m) == 1
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FORM_GROUPS))
+def test_form_matches_the_average(name):
+    g = FORM_GROUPS[name]()
+    f, avg = g.invariant_hermitian_form, _averaged_form(g)
+    assert f.conj_transpose() == f
+    assert all(s.conj_transpose() * f * s == f for s in g.generators)
+    roots = [h.root for h in Arrangement.from_group(g).hyperplanes]
+    new = [[hermitian_product(f, u, v) for v in roots] for u in roots]
+    ref = [[hermitian_product(avg, u, v) for v in roots] for u in roots]
+    n = len(roots)
+    assert all(new[i][j].is_zero() == ref[i][j].is_zero() for i in range(n) for j in range(n))
+    # on each component of the root graph, one totally positive scalar
+    component = list(range(n))
+    for i, j in itertools.product(range(n), repeat=2):
+        if not ref[i][j].is_zero():
+            a, b = component[i], component[j]
+            component = [a if x == b else x for x in component]
+    for k in set(component):
+        part = [i for i in range(n) if component[i] == k]
+        c = new[part[0]][part[0]] / ref[part[0]][part[0]]
+        assert _totally_positive(c)
+        assert all(new[i][j] == c * ref[i][j] for i in part for j in part)
+    if len(set(component)) == 1:  # irreducible: one scalar for the whole form
+        flat = [x for row in f.rows for x in row]
+        c = proportionality(flat, [x for row in avg.rows for x in row])
+        assert c is not None and _totally_positive(c)
+
+
+def test_form_of_a_non_essential_group():
+    # one reflection in rank 2: the roots span a line, V^W the other
+    g = GroupModel.generate([Matrix([[-1, 0], [0, 1]])])
+    f = g.invariant_hermitian_form
+    assert f.conj_transpose() == f
+    assert all(w.conj_transpose() * f * w == f for w in g.elements)
+    minors = [Matrix([row[:k] for row in f.rows[:k]]).det() for k in (1, 2)]
+    assert all(_totally_positive(m) for m in minors)
+
+
+def test_form_refuses_a_group_without_reflections():
+    g = GroupModel.generate([Matrix([[0, -1], [1, 0]])])
+    with pytest.raises(ValueError, match="not generated by reflections"):
+        g.invariant_hermitian_form
