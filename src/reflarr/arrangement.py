@@ -3,10 +3,16 @@ the group's monomial action on the root lines, W-orbits, essentiality
 and irreducibility via the root graph, and intersection-lattice
 Poincare polynomials.
 
-The action w.r_H = zeta_K^e r_{w(H)} on the transported roots of
-:attr:`GroupModel.root_lines` is computed once per arrangement
-(:attr:`Arrangement.root_action`); kappa, chi_n, the orbits, the Coxeter
-sign model and the monodromy permutations all read it.
+The group is closed on integer line data (:mod:`reflarr.matgroup`), and
+the arrangement reads it without matrices.  Hyperplanes, roots and
+distinguished reflections come from the group's reflections, the
+transported roots from :attr:`GroupModel.root_lines`.  The action
+w.r_H = zeta_K^e r_{w(H)} on those roots is composed once per
+arrangement along the closure's spanning tree
+(:attr:`Arrangement.root_action`); kappa, chi_n (through the per-class
+fixed-line counts), the orbits, the Coxeter sign model and the
+monodromy permutations all read it.  Essentiality and irreducibility
+are computed once per arrangement.
 
 A flat of the intersection lattice is the intersection of the
 hyperplanes that contain it, so it is stored as the integer bitmask of
@@ -157,15 +163,32 @@ class Arrangement:
             exps.append(array("I", [(e + x_exp[j]) % mod for j, e in zip(s_perm, s_exp)]))
         return RootAction(tuple(perms), tuple(exps), gens.units)
 
+    @cached_property
+    def fixed_line_counts(self) -> tuple:
+        """Per conjugacy class of the group, by its first element w: the
+        (e, count) pairs, e ascending, counting the root lines that w
+        fixes with scalar zeta_K^e.  They do not depend on n, so chi_n
+        only sums units over them."""
+        act = self.root_action
+        out = []
+        for cls in self.group.classes:
+            counts = [0] * len(act.units)
+            for i, (j, e) in enumerate(zip(act.perms[cls[0]], act.exps[cls[0]])):
+                if i == j:
+                    counts[e] += 1
+            out.append(tuple((e, c) for e, c in enumerate(counts) if c))
+        return tuple(out)
+
     def action_of(self, g: GroupModel) -> RootAction:
         """root_action, refusing any group but the arrangement's own."""
         if self.group is not g:
             raise ValueError("the arrangement belongs to a different group")
         return self.root_action
 
-    def image_hyperplane(self, w: Matrix, i: int) -> int:
-        """w(H_i) as a hyperplane index, for an element w of the group."""
-        return self.root_action.perms[self.group.index[w]][i]
+    def image_hyperplane(self, w: Matrix, i: int) -> int | None:
+        """w(H_i) as a hyperplane index, for a matrix w that permutes the
+        hyperplanes (None if w does not): the hyperplane of w r_i."""
+        return self.hyperplane_of_root(w.matvec(self.hyperplanes[i].root))
 
     @cached_property
     def orbits(self) -> tuple:
@@ -179,6 +202,10 @@ class Arrangement:
     # -- essentiality and irreducibility -----------------------------
 
     def is_essential(self) -> bool:
+        return self._essential
+
+    @cached_property
+    def _essential(self) -> bool:
         return rank([list(h.alpha) for h in self.hyperplanes]) == self.dim
 
     def root_orthogonal(self, i: int, j: int) -> bool:
@@ -215,6 +242,10 @@ class Arrangement:
 
     def irreducibility(self):
         """Verdict: irreducible, or the orthogonal parts if reducible."""
+        return self._irreducibility
+
+    @cached_property
+    def _irreducibility(self):
         if not self.is_essential():
             raise ValueError("irreducibility requires an essential arrangement")
         if self.dim == 0 or not self.hyperplanes:

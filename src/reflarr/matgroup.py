@@ -1,12 +1,26 @@
-"""Finite matrix groups over a cyclotomic field.
+"""Finite matrix groups over a cyclotomic field, closed on line data.
 
-Breadth-first closure from generators, which records the Cayley table
-(the index of x * s for every element x and generator s).  Matrices are
-multiplied only by the closure: products, inverses, element orders,
-conjugacy classes, the center and the reflection test all read the
-table.  Also orbit-transported roots, the invariant hermitian form
-built from them, and parabolic fixers.  Everything exact; structure
-beyond the element list and the table is computed lazily.
+The generators permute a finite set of lines up to roots of unity
+(:class:`reflarr.lines.LineSet`): the orbits of the reflection
+generators' roots, plus standard basis orbits while those lines and V^W
+do not span V.  An element w is then the
+pair (p, e) with w v_i = zeta_K^e(i) v_p(i), K = lcm(2, k) for the
+field Q(zeta_k), and the pair determines w (Lehrer-Taylor, Unitary
+Reflection Groups, ch. 1-2; Holt-Eick-O'Brien, Handbook of
+Computational Group Theory, 4.1).  The breadth-first closure multiplies
+these integer pairs, x * s = (p_x o p_s, e_s + e_x o p_s), never
+matrices, and records the Cayley table (the index of x * s for every
+element x and generator s) and its spanning tree.  Products, inverses,
+element orders and the center read the table; conjugacy classes read
+the table and the pairs.
+
+Matrices exist on demand only: M_w = C_w B^-1, where B has a basis of
+lines and of V^W as columns and C_w their images under w.  The
+reflection test reads C_w - B = (w - 1) B on one element per class, and
+each reflection's hyperplane, root and eigenvalue come from the same
+columns.  Also the orbit-transported roots, the invariant hermitian
+form built from them, and parabolic fixers.  Everything exact;
+structure beyond the closure is computed lazily.
 """
 
 from __future__ import annotations
@@ -15,22 +29,20 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 
 from .cyclo import CycNum
-from .linalg import Matrix, normalize_first_nonzero, nullspace, proportionality, vec_sum
+from .linalg import Matrix, normalize_first_nonzero, scale_vec, vec_sum
+from .lines import LineSet, NotFiniteWithinBound
 
 DEFAULT_ORDER_BOUND = 10_000
-
-
-class NotFiniteWithinBound(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
 class Reflection:
     """A reflection of the group: (n-1)-dimensional fixed space."""
 
-    element: int  # index into GroupModel.elements
+    element: int  # element index, as in GroupModel.table
     eigenvalue: CycNum  # the nontrivial eigenvalue (a root of unity != 1)
     alpha: tuple  # linear form with kernel H, first nonzero coord 1
     root: tuple  # eigenvector for the nontrivial eigenvalue, normalized
@@ -39,52 +51,70 @@ class Reflection:
 
 @dataclass(frozen=True)
 class RootAction:
-    """Row k sends the root r_i to ``units[exps[k][i]] * r_{perms[k][i]}``,
+    """Row k sends the line v_i to ``units[exps[k][i]] * v_{perms[k][i]}``,
     ``units[e]`` = zeta_K^e in the group's field Q(zeta_k), K = lcm(2, k).
     One row per generator in :attr:`GroupModel.root_lines`, per element
-    in :attr:`reflarr.arrangement.Arrangement.root_action`."""
+    in :attr:`reflarr.arrangement.Arrangement.root_action`; the rows on
+    all the closure's lines are kept in a :class:`LineSet`."""
 
     perms: tuple
     exps: tuple  # one array('I') of exponents mod K per row
     units: tuple
 
 
-class GroupModel:
-    """A finite matrix group: the closed element list, its Cayley table
-    and the structure read from that table."""
+def _proportional(u, v) -> bool:
+    """u and v (v nonzero) are proportional: every 2x2 minor vanishes."""
+    t = next(i for i, x in enumerate(v) if not x.is_zero())
+    return all(x * v[t] == y * u[t] for x, y in zip(u, v))
 
-    def __init__(self, generators, elements, table, spanning_tree, order_bound=DEFAULT_ORDER_BOUND):
+
+def _gather(perm):
+    """x -> (x[perm[0]], x[perm[1]], ...) as a tuple."""
+    if len(perm) > 1:
+        return itemgetter(*perm)
+    return lambda x: tuple(x[j] for j in perm)
+
+
+class GroupModel:
+    """A finite matrix group: its lines, each element's action on them,
+    the Cayley table and the structure read from that table."""
+
+    def __init__(self, generators, lines: LineSet, codes, table, spanning_tree,
+                 order_bound=DEFAULT_ORDER_BOUND):
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
+        self.lines = lines  # what the codes refer to, with the generators' rows
+        # codes[x][i] = K p(i) + e(i) for elements[x] v_i = zeta_K^e(i) v_p(i)
+        self.codes = tuple(codes)
         # table[s][x] is the index of elements[x] * generators[s]
         self.table = table
         # (parents, steps): elements[k] = elements[parents[k]] *
         # generators[steps[k]] for k > 0; elements[0] is the identity
         self.spanning_tree = spanning_tree
         self.order_bound = order_bound
-        self.index = {m: i for i, m in enumerate(self.elements)}
-        self.identity_index = self.index[Matrix.identity(self.dim)]
+        self.identity_index = 0
+        self._columns = {}  # (b, code) -> w v_b - v_b, see _moved
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return self.generators[0].dim
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.codes)
 
     # -- construction ------------------------------------------------
 
     @staticmethod
     def generate(generators, order_bound=DEFAULT_ORDER_BOUND) -> "GroupModel":
-        """Breadth-first closure, in the one field Q(zeta_K) (K the lcm of
-        the entries' orders) so that equal elements hash equally.  A
-        generator whose determinant is no root of unity is refused first.
-        Every product x * s (x an element, s a generator) is formed once,
-        here, and kept in the Cayley table.
+        """Breadth-first closure on line data, in the one field Q(zeta_k)
+        (k the lcm of the entries' orders).  A generator whose
+        determinant is no root of unity is refused first.  Every product
+        x * s (x an element, s a generator) is formed once, here, as
+        (p_x o p_s, e_s + e_x o p_s) on the lines, and kept in the
+        Cayley table.
         """
         generators = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
         if not generators:
@@ -103,28 +133,74 @@ class GroupModel:
                     f"generator {i} has determinant {det!r}, not a root of unity, "
                     "so the group is infinite"
                 )
-        ident = Matrix.identity(n)
+        lines = LineSet.bootstrap(generators, k, order_bound)
+        mod = len(lines.units)
+        # x * s sends v_i to zeta_K^(e_s(i) + e_x(p_s(i))) v_{p_x(p_s(i))}:
+        # gather x's codes along p_s, then add the nonzero e_s(i)
+        steps_of = [
+            (_gather(perm), [(i, e) for i, e in enumerate(exps) if e])
+            for perm, exps in zip(lines.perms, lines.exps)
+        ]
+        ident = tuple(range(0, mod * len(lines.vectors), mod))
         seen = {ident: 0}
-        elements = [ident]
+        codes = [ident]
         parents, steps = [None], [None]
         table = tuple(array("I") for _ in generators)
-        # elements is also the breadth-first queue: it grows while walked
-        for xi, x in enumerate(elements):
-            for gi, g in enumerate(generators):
-                y = x * g
-                if y not in seen:
-                    seen[y] = len(elements)
-                    elements.append(y)
+        # codes is also the breadth-first queue: it grows while walked
+        for xi, x in enumerate(codes):
+            for gi, (gather, shifts) in enumerate(steps_of):
+                y = gather(x)
+                if shifts:
+                    y = list(y)
+                    for i, e in shifts:
+                        c = y[i] + e
+                        y[i] = c - mod if c % mod < e else c
+                    y = tuple(y)
+                yi = seen.get(y)
+                if yi is None:
+                    yi = seen[y] = len(codes)
+                    codes.append(y)
                     parents.append(xi)
                     steps.append(gi)
-                    if len(elements) > order_bound:
+                    if len(codes) > order_bound:
                         raise NotFiniteWithinBound(
                             f"closure exceeded order bound {order_bound}"
                         )
-                table[gi].append(seen[y])
+                table[gi].append(yi)
         return GroupModel(
-            generators, elements, table, (tuple(parents), tuple(steps)), order_bound
+            generators, lines, codes, table, (tuple(parents), tuple(steps)), order_bound
         )
+
+    # -- matrices on demand ------------------------------------------
+
+    @cached_property
+    def _basis_inverse(self) -> Matrix:
+        """B^-1, B the matrix of columns v_b (b in lines.basis), then V^W."""
+        cols = [self.lines.vectors[b] for b in self.lines.basis]
+        return Matrix(list(zip(*cols, *self.lines.fixed))).inverse()
+
+    def _image(self, i: int, b: int) -> tuple:
+        """w v_b for w = elements[i]."""
+        units = self.lines.units
+        p, e = divmod(self.codes[i][b], len(units))
+        v = self.lines.vectors[p]
+        return v if e == 0 else scale_vec(units[e], v)
+
+    def matrix(self, i: int) -> Matrix:
+        """elements[i], rebuilt from its line data as C_w B^-1."""
+        cols = [self._image(i, b) for b in self.lines.basis]
+        return Matrix(list(zip(*cols, *self.lines.fixed))) * self._basis_inverse
+
+    @cached_property
+    def elements(self) -> tuple:
+        """Every element's matrix, by index: an on-demand view that builds
+        |W| matrices, for tests and the matrix-side checks."""
+        return tuple(self.matrix(i) for i in range(self.order))
+
+    @cached_property
+    def index(self) -> dict:
+        """The element index of each matrix in :attr:`elements`."""
+        return {m: i for i, m in enumerate(self.elements)}
 
     # -- products and inverses ---------------------------------------
 
@@ -174,10 +250,20 @@ class GroupModel:
         """Partition of element indices into conjugacy classes.
 
         Classes are ordered by their smallest element index, so the
-        identity class comes first.
+        identity class comes first.  The conjugate s^-1 x s is read from
+        x's codes: s v_i = zeta_K^e v_j gives s^-1 (zeta_K^f v_j) =
+        zeta_K^(f - e) v_i, one lookup per code for the left factor, and
+        the right factor s is a table lookup.
         """
-        gen_idx = [t[self.identity_index] for t in self.table]
-        gen_inv = [self.inverses[i] for i in gen_idx]
+        mod = len(self.lines.units)
+        lefts = []
+        for perm, exps in zip(self.lines.perms, self.lines.exps):
+            left = [0] * (mod * len(perm))
+            for i, (j, e) in enumerate(zip(perm, exps)):
+                for f in range(mod):
+                    left[j * mod + f] = i * mod + (f - e) % mod
+            lefts.append(left.__getitem__)
+        index = {code: i for i, code in enumerate(self.codes)}
         assigned = [None] * self.order
         classes = []
         for start in range(self.order):
@@ -189,8 +275,8 @@ class GroupModel:
             while frontier:
                 nxt = []
                 for x in frontier:
-                    for g, gi in zip(gen_idx, gen_inv):
-                        y = self.mul(self.mul(g, x), gi)
+                    for left, right in zip(lefts, self.table):
+                        y = right[index[tuple(map(left, self.codes[x]))]]
                         if assigned[y] is None:
                             assigned[y] = len(classes)
                             cls.append(y)
@@ -215,32 +301,58 @@ class GroupModel:
 
     # -- reflections -------------------------------------------------
 
+    def _moved(self, i: int) -> list:
+        """(k, w v_b - v_b) for each line v_b of B, at column k, that
+        w = elements[i] does not fix: the nonzero columns of
+        C_w - B = (w - 1) B."""
+        code, mod = self.codes[i], len(self.lines.units)
+        out = []
+        for k, b in enumerate(self.lines.basis):
+            if code[b] != b * mod:
+                d = self._columns.get((b, code[b]))
+                if d is None:  # a column depends on b and w v_b alone
+                    img, v = self._image(i, b), self.lines.vectors[b]
+                    d = self._columns[b, code[b]] = tuple(x - y for x, y in zip(img, v))
+                out.append((k, d))
+        return out
+
     @cached_property
     def reflections(self) -> tuple:
         """All reflections with their hyperplane data, by element index.
 
-        Being a reflection, the eigenvalue and the order are class
-        invariants, so rank(w - 1) = 1 is tested on one element per
-        class; form and root are computed for every reflection.
+        D = C_w - B = (w - 1) B has the rank of w - 1, so being a
+        reflection (D of rank 1) is tested on one element per class, as
+        are the order and the eigenvalue.  A reflection's root spans
+        the columns of D; with the root r normalized at coordinate t,
+        row t of D is the c with w - 1 = r (c B^-1), so alpha is c B^-1
+        normalized and the eigenvalue is 1 + (c B^-1) r.
         """
-        n = self.dim
-        ident = Matrix.identity(n)
+        b_inv_t = self._basis_inverse.transpose()
         per_class = {}
         for k, cls in enumerate(self.classes):
-            w = self.elements[cls[0]]
-            if (w - ident).rank() == 1:
-                per_class[k] = (w.det(), self.element_order(cls[0]))
+            moved = [d for _, d in self._moved(cls[0])]
+            if moved and all(_proportional(d, moved[0]) for d in moved[1:]):
+                per_class[k] = self.element_order(cls[0])
         raw = []
         # element-index order fixes the order of the hyperplanes
+        zero = CycNum.zero()
         for i, k in enumerate(self.class_of):
             if k not in per_class:
                 continue
-            w = self.elements[i]
-            ev, order = per_class[k]
-            # w - 1 has rank 1: its first nonzero row is a form for H
-            alpha = next(filter(None, map(normalize_first_nonzero, (w - ident).rows)))
-            root = normalize_first_nonzero(nullspace((w - ident.scale(ev)).rows, n)[0])
-            raw.append(Reflection(element=i, eigenvalue=ev, alpha=alpha, root=root, order=order))
+            moved = self._moved(i)
+            root = normalize_first_nonzero(moved[0][1])
+            t = next(j for j, x in enumerate(root) if not x.is_zero())
+            c = [zero] * self.dim
+            for col, d in moved:
+                c[col] = d[t]
+            form = b_inv_t.matvec(c)
+            raw.append(Reflection(
+                element=i,
+                eigenvalue=1 + vec_sum(a * x for a, x in zip(form, root)),
+                alpha=normalize_first_nonzero(form),
+                root=root,
+                order=per_class[k],
+            ))
         return tuple(raw)
 
     # -- roots and the invariant form --------------------------------
@@ -251,32 +363,25 @@ class GroupModel:
         by first reflection, r_H = the normalized root at each orbit's
         first H, then r_{s(H)} := s r_H breadth first.  With r_H = u_H r_0,
         u_{w(H)}^-1 w u_H fixes the line of r_0, so w r_H is a root of
-        unity times r_{w(H)}.  Images are found by their normalized root.
+        unity times r_{w(H)}.  The closure's root-orbit lines are these
+        roots already (the first H of an orbit is a generator's, when
+        one lies in it); only orbits that the generators' roots miss,
+        as when a generator is no reflection, are transported here.
         """
-        k = self.generators[0].rows[0][0].order  # generate lifted all to Q(zeta_k)
-        z = CycNum.zeta(k) if k % 2 == 0 else -CycNum.zeta(k, (k + 1) // 2)  # zeta_2k if k odd
-        exponent = {z**e: e for e in range(lcm(2, k))}  # the units, in order
-        index = {}
-        for r in self.reflections:
-            index.setdefault(r.root, len(index))
-        roots = [None] * len(index)
-        perms = [[0] * len(index) for _ in self.generators]
-        exps = [array("I", [0]) * len(index) for _ in self.generators]
-        for seed, line in enumerate(index):
-            if roots[seed] is None:
-                roots[seed], orbit = line, [seed]
-                for i in orbit:  # the orbit grows while walked: breadth first
-                    for s, gen in enumerate(self.generators):
-                        img = gen.matvec(roots[i])
-                        j = index[normalize_first_nonzero(img)]
-                        if roots[j] is None:
-                            roots[j] = img
-                            orbit.append(j)
-                        c = proportionality(img, roots[j])
-                        if c not in exponent:
-                            raise ArithmeticError(f"generator {s}: {c!r} is no root of unity")
-                        perms[s][i], exps[s][i] = j, exponent[c]
-        return tuple(roots), RootAction(tuple(map(tuple, perms)), tuple(exps), tuple(exponent))
+        lines = self.lines.prefix(self.lines.roots)
+        seeds = [r.root for r in self.reflections]
+        for root in seeds:
+            lines.close(root)
+        order = list(dict.fromkeys(lines.index[r] for r in seeds))  # line of each H
+        if len(order) != len(lines.vectors):
+            raise ArithmeticError("a transported root is no reflection's root")
+        pos = {line: h for h, line in enumerate(order)}
+        action = RootAction(
+            tuple(tuple(pos[p[i]] for i in order) for p in lines.perms),
+            tuple(array("I", (e[i] for i in order)) for e in lines.exps),
+            lines.units,
+        )
+        return tuple(lines.vectors[i] for i in order), action
 
     @cached_property
     def invariant_hermitian_form(self) -> Matrix:
@@ -287,9 +392,8 @@ class GroupModel:
         sum of v v^*, M is positive definite in every complex embedding
         when those v span V, as they do for a group generated by reflections.
         """
-        n, ident = self.dim, Matrix.identity(self.dim)
-        fixed = nullspace([row for s in self.generators for row in (s - ident).rows], n)
-        vecs = [*self.root_lines[0], *fixed]
+        n = self.dim
+        vecs = [*self.root_lines[0], *self.lines.fixed]
         m = Matrix([[vec_sum(v[i] * v[j].conjugate() for v in vecs) for j in range(n)]
                     for i in range(n)])
         if m.det().is_zero():
@@ -311,4 +415,3 @@ class GroupModel:
             # reflections they contain
             raise ArithmeticError("the fixer is not generated by its reflections")
         return sub
-

@@ -200,7 +200,7 @@ def braided_reflection_path(
         z_plus + z0_minus * cmath.exp(2j * cmath.pi * t / h.d)
         for t in np.linspace(0.0, 1.0, steps)
     ]
-    s = np.array(a.group.elements[h.distinguished_reflection].embed(), dtype=complex)
+    s = np.array(a.group.matrix(h.distinguished_reflection).embed(), dtype=complex)
     gamma2 = [s @ p for p in reversed(gamma0)]
     samples = gamma0 + gamma1[1:] + gamma2[1:]
     return integrate_path(
@@ -241,7 +241,7 @@ def straight_path_to(
     through a random regular midpoint (the straight segment to a
     central image can run through the origin)."""
     z = np.asarray(basepoint, dtype=complex)
-    w = np.array(a.group.elements[element_index].embed(), dtype=complex)
+    w = np.array(a.group.matrix(element_index).embed(), dtype=complex)
     target = w @ z
     alphas = _unit_alphas(a)
     line = [z + (target - z) * t for t in np.linspace(0.0, 1.0, steps)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .arrangement import Arrangement
 from .catalog import BuiltGroup
 from .cyclo import CycNum
-from .linalg import proportionality, rank
+from .linalg import normalize_first_nonzero, proportionality, rank
 from .matgroup import GroupModel
 
 
@@ -87,14 +87,20 @@ def equivariance_defect(p: PhiMap, g: GroupModel) -> EquivarianceReport:
     """Where the current scalings fail w.alpha_H^2 = alpha_{w(H)}^2.
 
     Checked on generators (sufficient for the whole group).  The dual
-    action is w.alpha = alpha o w^-1.
+    action is w.alpha = alpha o w^-1; the image's hyperplane is looked up
+    by its normalized form, the first of equal ones winning.
     """
+    index = {}
+    for j, alpha in enumerate(p.alphas):
+        key = normalize_first_nonzero(alpha)
+        if key is not None:
+            index.setdefault(key, j)
     violations = []
     for gi, gen in enumerate(g.generators):
         winv_t = gen.inverse().transpose()
         for i, alpha in enumerate(p.alphas):
             beta = winv_t.matvec(alpha)
-            j = _matching_form(p.alphas, beta)
+            j = index.get(normalize_first_nonzero(beta))
             if j is None:
                 violations.append((gi, i))
                 continue
@@ -103,13 +109,6 @@ def equivariance_defect(p: PhiMap, g: GroupModel) -> EquivarianceReport:
                 violations.append((gi, i))
     zero = all(x.is_zero() for x in p.sum_of_squares())
     return EquivarianceReport(violations=tuple(violations), sum_of_squares_zero=zero)
-
-
-def _matching_form(alphas, beta):
-    for j, al in enumerate(alphas):
-        if proportionality(beta, al) is not None:
-            return j
-    return None
 
 
 def coxeter_equivariant_forms(built: BuiltGroup):

@@ -53,16 +53,11 @@ def class_representatives(g: GroupModel):
 
 def chi(g: GroupModel, a: Arrangement, n: int) -> ClassFunction:
     """chi_n on each conjugacy class; g must be the arrangement's group."""
-    act = a.action_of(g)
-    mod = len(act.units)
-    values = []
-    for rep in class_representatives(g):
-        counts = [0] * mod  # fixed root lines by exponent
-        for i, (j, e) in enumerate(zip(act.perms[rep], act.exps[rep])):
-            if i == j:
-                counts[e] += 1
-        values.append(vec_sum(c * act.units[n * e % mod] for e, c in enumerate(counts) if c))
-    return ClassFunction(g, tuple(values))
+    units = a.action_of(g).units
+    mod = len(units)
+    return ClassFunction(g, tuple(
+        vec_sum(c * units[n * e % mod] for e, c in counts) for counts in a.fixed_line_counts
+    ))
 
 
 def trivial_character(g: GroupModel) -> ClassFunction:
@@ -72,7 +67,7 @@ def trivial_character(g: GroupModel) -> ClassFunction:
 def matrix_character(g: GroupModel, fn) -> ClassFunction:
     """Class function from a matrix invariant (trace, det, ...)."""
     return ClassFunction(
-        g, tuple(fn(g.elements[rep]) for rep in class_representatives(g))
+        g, tuple(fn(g.matrix(rep)) for rep in class_representatives(g))
     )
 
 
@@ -224,7 +219,7 @@ def coxeter_sign_model(built: BuiltGroup) -> SignModelRep:
     if built.positive_roots is None:
         raise ValueError(f"{built.label} has no positive-root data")
     g = built.group
-    mats = tuple(_sign_matrix(built, g.index[gen]) for gen in g.generators)
+    mats = tuple(_sign_matrix(built, row[g.identity_index]) for row in g.table)
     return SignModelRep(built=built, matrices=mats)
 
 
@@ -250,7 +245,7 @@ def g4_table_check() -> bool:
     u = chis[0] - s1
     ok = inner_product(u, u) == CycNum.one()
     # trace of A_a at an order-3 generator is -a
-    s_idx = g.index[g.generators[0]]
+    s_idx = g.table[0][g.identity_index]  # the first generator
     j = CycNum.zeta(3)
     ok &= a_1.at(s_idx) == CycNum.rational(-1)
     ok &= a_j.at(s_idx) == -j
