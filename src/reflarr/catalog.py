@@ -68,10 +68,15 @@ class GroupSpec:
             gens = field("generators", list)
             if not all(isinstance(g, list) and all(isinstance(r, list) for r in g) for g in gens):
                 raise ValueError("each generator must be a list of rows")
+            order = field("cyclotomic_order", int, 1)
+            if order < 1:
+                raise ValueError(
+                    f"group spec field 'cyclotomic_order' must be a positive int, got {order!r}"
+                )
             return GroupSpec(
                 kind="explicit",
                 dim=field("dim", int),
-                cyclotomic_order=field("cyclotomic_order", int, 1),
+                cyclotomic_order=order,
                 generators=tuple(tuple(tuple(row) for row in g) for g in gens),
             )
         raise ValueError(f"unknown group spec kind: {kind!r}")

@@ -267,17 +267,25 @@ def _cmd_kappa_table(args) -> tuple[int, dict]:
 
 
 def _parse_range(text: str):
-    lo, hi = text.split("..")
-    return int(lo), int(hi)
+    """``LO..HI`` as two ints with LO <= HI; anything else is refused by name."""
+    lo, _, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        lo, hi = 1, 0
+    if lo > hi:
+        raise ValueError(f"--n-range must be LO..HI with LO <= HI, got {text!r}")
+    return lo, hi
 
 
 def _cmd_chi(args) -> tuple[int, dict]:
+    n_range = _parse_range(args.n_range)
     built = build(_load_spec(args.spec), args.order_bound)
     report = {
         "schema": SCHEMA,
         "command": "chi",
         "group": _summary(built),
-        "chi": _chi_section(built, _parse_range(args.n_range)),
+        "chi": _chi_section(built, n_range),
     }
     return 0, report
 

@@ -11,6 +11,16 @@ Galois norm of a value is rational, and dividing the product of its
 other conjugates by it gives the inverse.  Linear algebra over these
 scalars, subfield rewriting included, lives in :mod:`reflarr.linalg`.
 
+``CycNum(...)`` always reduces and normalizes.  Arithmetic results are
+canonical by construction and go through one raw constructor,
+:func:`_make`, which fills the three slots without copying or checking.
+Most operands in this package are rational, so ``*`` runs the cyclic
+convolution only when both operands are irrational: an ``int`` operand,
+a zero or a rational one scales the other operand's numerators, and
+``+``/``-`` return the other operand for a zero one and skip the lcm of
+equal denominators.  Every path gives the same canonical
+``(order, num, den)`` as the convolution would.
+
 Orders stay small here (m <= 24 for every built-in group), so the
 dense representation wins on simplicity.  The inner loops (cyclic
 convolution + reduction) live in :mod:`reflarr._kernel_py`.
@@ -62,6 +72,8 @@ def _poly_divide_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    if den == 1:
+        return tuple(num), 1
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     if den < 0:
@@ -86,7 +98,7 @@ class CycNum:
 
     __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, num, den: int = 1, _canonical: bool = False):
+    def __init__(self, order: int, num, den: int = 1):
         if order < 1:
             raise ValueError("order must be a positive integer")
         num = list(num)
@@ -97,11 +109,8 @@ class CycNum:
             num = folded
         elif len(num) < order:
             num = num + [0] * (order - len(num))
-        if not _canonical:
-            _poly_reduce(num, order, cyclotomic_poly(order))
-            num, den = _normalize(num, den)
-        else:
-            num = tuple(num)
+        _poly_reduce(num, order, cyclotomic_poly(order))
+        num, den = _normalize(num, den)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -113,8 +122,10 @@ class CycNum:
 
     @staticmethod
     def rational(value) -> "CycNum":
+        if type(value) is int:
+            return _make(1, (value,), 1)
         f = Fraction(value)
-        return CycNum(1, [f.numerator], f.denominator)
+        return _make(1, (f.numerator,), f.denominator)
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> "CycNum":
@@ -124,13 +135,11 @@ class CycNum:
 
     @staticmethod
     def zero(m: int = 1) -> "CycNum":
-        return CycNum(m, [0] * m, 1, _canonical=True)
+        return _make(m, (0,) * m, 1)
 
     @staticmethod
     def one(m: int = 1) -> "CycNum":
-        num = [0] * m
-        num[0] = 1
-        return CycNum(m, num, 1, _canonical=True)
+        return _make(m, (1,) + (0,) * (m - 1), 1)
 
     @staticmethod
     def from_fractions(order: int, coeffs) -> "CycNum":
@@ -169,6 +178,8 @@ class CycNum:
             return self
         if new_order % m:
             raise ValueError("lift target must be a multiple of the order")
+        if not any(self.num[1:]):  # a rational is canonical at every order
+            return _make(new_order, (self.num[0],) + (0,) * (new_order - 1), self.den)
         step = new_order // m
         num = [0] * new_order
         for k, c in enumerate(self.num):
@@ -186,41 +197,53 @@ class CycNum:
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = CycNum._common(self, other)
-        da, db = a.den, b.den
-        d = lcm(da, db)
-        fa, fb = d // da, d // db
-        num = [fa * x + fb * y for x, y in zip(a.num, b.num)]
-        num, den = _normalize(num, d)
-        return CycNum(a.order, num, den, _canonical=True)
+        if type(other) is not CycNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other, 1)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return CycNum(self.order, [-c for c in self.num], self.den, _canonical=True)
+        return _make(self.order, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(-other)
+        if type(other) is not CycNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = CycNum._common(self, other)
-        m = a.order
-        num = _mul_reduce(list(a.num), list(b.num), m, cyclotomic_poly(m))
-        num, den = _normalize(num, a.den * b.den)
-        return CycNum(m, num, den, _canonical=True)
+        return _add(other, self, -1)
+
+    def __mul__(self, other):
+        if type(other) is not CycNum:
+            if type(other) is int:
+                return _scaled(self.order, self.num, self.den, other, 1)
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self, other
+        m = a.order if a.order == b.order else lcm(a.order, b.order)
+        if not any(a.num[1:]):  # a rational: scale b
+            a, b = b, a
+        elif any(b.num[1:]):  # neither rational: convolve
+            if a.order != b.order:
+                a, b = a.lift(m), b.lift(m)
+            num = _mul_reduce(list(a.num), list(b.num), m, cyclotomic_poly(m))
+            return _make(m, *_normalize(num, a.den * b.den))
+        q = b.num[0]
+        if not q:
+            return _make(m, (0,) * m, 1)
+        if a.order != m:
+            a = a.lift(m)
+        return _scaled(m, a.num, a.den, q, b.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -236,23 +259,23 @@ class CycNum:
             raise ZeroDivisionError("inversion of zero in Q(zeta_m)")
         m = self.order
         if self.is_rational():
-            f = 1 / self.as_fraction()
-            return CycNum(m, [f.numerator] + [0] * (m - 1), f.denominator)
+            p, q = self.num[0], self.den
+            if p < 0:
+                p, q = -p, -q
+            return _make(m, (q,) + (0,) * (m - 1), p)
         rest = reduce(
             CycNum.__mul__, (self.galois(a) for a in range(2, m) if gcd(a, m) == 1)
         )
         norm = self * rest
         if not norm.is_rational():  # cannot happen in a field
             raise ArithmeticError("Galois norm is not rational")
-        num, den = _normalize([c * norm.den for c in rest.num], rest.den * norm.num[0])
-        return CycNum(m, num, den, _canonical=True)
+        return _make(m, *_normalize([c * norm.den for c in rest.num], rest.den * norm.num[0]))
 
     def __truediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = CycNum._common(self, other)
-        return a * b.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -329,7 +352,7 @@ class CycNum:
         # Rational values hash like their Fraction so that equal values
         # stored at different orders collide; irrational values are only
         # ever hashed alongside same-order peers (one field per group).
-        if self.is_rational():
+        if not any(self.num[1:]):
             if self.den == 1:
                 return hash(self.num[0])  # = hash(Fraction(n, 1))
             return hash(Fraction(self.num[0], self.den))
@@ -344,6 +367,49 @@ class CycNum:
                 f = Fraction(c, self.den)
                 terms.append(f"({f})*z{self.order}^{k}" if k else f"({f})")
         return "CycNum(" + " + ".join(terms) + ")"
+
+
+_new = object.__new__
+_set_order = CycNum.order.__set__
+_set_num = CycNum.num.__set__
+_set_den = CycNum.den.__set__
+
+
+def _make(order: int, num: tuple, den: int) -> CycNum:
+    """The CycNum with canonical parts ``(order, num, den)``, unchecked."""
+    x = _new(CycNum)
+    _set_order(x, order)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _scaled(m: int, num: tuple, den: int, p: int, q: int) -> CycNum:
+    """(p/q) * (num/den) at order m, for canonical num/den at order m."""
+    return _make(m, *_normalize([p * c for c in num], den * q))
+
+
+def _add(a: CycNum, b: CycNum, sign: int) -> CycNum:
+    """a + sign*b at the lcm order, sign = 1 or -1."""
+    if a.order != b.order:
+        a, b = CycNum._common(a, b)
+    an, bn = a.num, b.num
+    if not any(bn):
+        return a
+    if not any(an):
+        return b if sign == 1 else -b
+    da, db = a.den, b.den
+    if da == db:
+        d = da
+        if sign == 1:
+            num = [x + y for x, y in zip(an, bn)]
+        else:
+            num = [x - y for x, y in zip(an, bn)]
+    else:
+        d = lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        num = [fa * x + fb * y for x, y in zip(an, bn)]
+    return _make(a.order, *_normalize(num, d))
 
 
 def _coerce(x):

@@ -55,9 +55,14 @@ def chi(g: GroupModel, a: Arrangement, n: int) -> ClassFunction:
     """chi_n on each conjugacy class; g must be the arrangement's group."""
     units = a.action_of(g).units
     mod = len(units)
-    return ClassFunction(g, tuple(
-        vec_sum(c * units[n * e % mod] for e, c in counts) for counts in a.fixed_line_counts
-    ))
+    values = []
+    for counts in a.fixed_line_counts:
+        merged = {}  # one count per distinct unit zeta_K^(n e)
+        for e, c in counts:
+            k = n * e % mod
+            merged[k] = merged.get(k, 0) + c
+        values.append(vec_sum(c * units[k] for k, c in merged.items()))
+    return ClassFunction(g, tuple(values))
 
 
 def trivial_character(g: GroupModel) -> ClassFunction:

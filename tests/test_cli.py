@@ -156,6 +156,17 @@ class TestChi:
         assert all(len(col) == 7 for col in values.values())
         assert values["0"][0] == "4"
 
+    @pytest.mark.parametrize("n_range", ["3..1", "a", "3", "1..2..3", "0..x"])
+    def test_bad_n_range_exits_2(self, n_range, g4_spec, capsys):
+        assert cli.main(["chi", g4_spec, "--n-range", n_range]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--n-range must be LO..HI with LO <= HI" in err
+
+    def test_single_n(self, g4_spec, capsys):
+        assert cli.main(["chi", g4_spec, "--n-range", "2..2", "--json"]) == 0
+        assert list(_json_out(capsys)["chi"]["values"]) == ["2"]
+
 
 class TestPoincare:
     def test_counterexample(self, tmp_path, capsys):
@@ -266,6 +277,16 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_non_positive_cyclotomic_order_exits_2(self, order, tmp_path, capsys):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"kind": "explicit", "dim": 1, "cyclotomic_order": order,
+                                 "generators": [[[-1]]]}))
+        assert cli.main(["analyze", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'cyclotomic_order' must be a positive int" in err
 
 
     @pytest.mark.parametrize(

@@ -3,13 +3,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reflarr.cyclo import CycNum, cyclotomic_poly, parse_literal, sqrt_minus_two
+from reflarr import _kernel_py, cyclo
+from reflarr.cyclo import CycNum, _normalize, cyclotomic_poly, parse_literal, sqrt_minus_two
 from reflarr.linalg import rewrite
 
 ORDERS = [3, 4, 6, 8, 12, 24]
@@ -275,6 +276,102 @@ class TestHash:
         assert hash(CycNum.rational(q)) == hash(q)
         c = CycNum.rational(n)
         assert hash(c) == hash(c.lift(m1)) == hash(n) == hash(Fraction(n))
+
+
+class TestFastPaths:
+    """Every arithmetic fast path gives the triple of the exact path:
+    lift both operands to the lcm order, convolve and reduce (or add over
+    the lcm of the denominators), normalize."""
+
+    FAST_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12, 20, 24)
+    SCALARS = (0, 1, -1, 3, Fraction(0), Fraction(-3, 4), Fraction(5), Fraction(7, 2))
+
+    @staticmethod
+    def _lifted(x, order):
+        step = order // x.order
+        num = [0] * order
+        for k, c in enumerate(x.num):
+            num[k * step] = c
+        return _kernel_py.poly_reduce(num, order, cyclotomic_poly(order)), x.den
+
+    @classmethod
+    def _reference(cls, op, x, y):
+        m = lcm(x.order, y.order)
+        (a, da), (b, db) = cls._lifted(x, m), cls._lifted(y, m)
+        if op == "*":
+            num, den = _kernel_py.mul_reduce(a, b, m, cyclotomic_poly(m)), da * db
+        else:
+            den = lcm(da, db)
+            sign = 1 if op == "+" else -1
+            num = [den // da * u + sign * (den // db) * v for u, v in zip(a, b)]
+        num, den = _normalize(num, den)
+        return m, num, den
+
+    @classmethod
+    def _operands(cls, m, rng):
+        """Zero, one, an integer, a rational, a root of unity, two general values."""
+        ops = [CycNum.zero(m), CycNum.one(m), CycNum.rational(-4).lift(m),
+               CycNum.rational(Fraction(5, 6)).lift(m), CycNum.zeta(m, m // 2 + 1)]
+        ops += [random_cycnum(rng, m, 5) for _ in range(2)]
+        return ops
+
+    @staticmethod
+    def _check(got, ref):
+        assert (got.order, got.num, got.den) == ref
+        assert hash(got) == hash(CycNum(*ref))
+
+    @staticmethod
+    def _kind(x):
+        return "zero" if x.is_zero() else "rational" if x.is_rational() else "irrational"
+
+    def test_binary_ops_match_the_exact_path(self):
+        rng = random.Random(11)
+        values = [x for m in self.FAST_ORDERS for x in self._operands(m, rng)]
+        seen = set()
+        for x in values:
+            for y in values:
+                for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
+                    self._check(got, self._reference(op, x, y))
+                seen.add((self._kind(x), self._kind(y), x.order == y.order))
+        kinds = ("zero", "rational", "irrational")
+        assert seen == {(a, b, same) for a in kinds for b in kinds for same in (True, False)}
+
+    def test_scalar_operands_match_the_exact_path(self):
+        rng = random.Random(12)
+        for m in self.FAST_ORDERS:
+            for x in self._operands(m, rng):
+                for c in self.SCALARS:
+                    r = CycNum.rational(c)
+                    ref = self._reference("*", r, x)
+                    for got in (c * x, x * c):
+                        self._check(got, ref)
+                    self._check(x + c, self._reference("+", x, r))
+                    self._check(c - x, self._reference("-", r, x))
+                    self._check(x - c, self._reference("-", x, r))
+
+    def test_results_skip_the_reduction(self, monkeypatch):
+        calls = []
+
+        def counting(vec, m, phi):
+            calls.append(m)
+            return _kernel_py.poly_reduce(vec, m, phi)
+
+        def refused(*args):
+            raise AssertionError("convolution on a rational operand")
+
+        x = random_cycnum(random.Random(13), 12)
+        y = CycNum.rational(Fraction(-2, 3))
+        monkeypatch.setattr(cyclo, "_poly_reduce", counting)
+        monkeypatch.setattr(cyclo, "_mul_reduce", refused)
+        results = [
+            x * y, y * x, x * y.lift(12), x * 3, 3 * x, x * Fraction(1, 5), x * 0,
+            x * CycNum.zero(4), x + y, x - y, y - x, x + 0, 0 - x, -x,
+            x + x, x - x, y.inverse(), x / y, x / 2, y.lift(24),
+            CycNum.zero(12), CycNum.one(12), CycNum.rational(Fraction(3, 9)),
+        ]
+        assert calls == []
+        for r in results:  # canonical: the reducing constructor leaves them as they are
+            self._check(r, (r.order, r.num, r.den))
 
 
 def test_cyclo_does_not_import_linalg():
