@@ -348,6 +348,9 @@ class TestFastPaths:
                     self._check(x + c, self._reference("+", x, r))
                     self._check(c - x, self._reference("-", r, x))
                     self._check(x - c, self._reference("-", x, r))
+                    if c:
+                        inverse = CycNum.rational(1 / Fraction(c))
+                        self._check(x / c, self._reference("*", x, inverse))
 
     def test_results_skip_the_reduction(self, monkeypatch):
         calls = []
@@ -371,7 +374,8 @@ class TestFastPaths:
         ]
         assert calls == []
         for r in results:  # canonical: the reducing constructor leaves them as they are
-            self._check(r, (r.order, r.num, r.den))
+            again = CycNum(r.order, r.num, r.den)
+            assert (r.order, r.num, r.den) == (again.order, again.num, again.den)
 
 
 def test_cyclo_does_not_import_linalg():
