@@ -271,10 +271,10 @@ def _parse_range(text: str):
     lo, _, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError
     except ValueError:
-        lo, hi = 1, 0
-    if lo > hi:
-        raise ValueError(f"--n-range must be LO..HI with LO <= HI, got {text!r}")
+        raise ValueError(f"--n-range must be LO..HI with LO <= HI, got {text!r}") from None
     return lo, hi
 
 

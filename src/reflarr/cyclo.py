@@ -352,7 +352,7 @@ class CycNum:
         # Rational values hash like their Fraction so that equal values
         # stored at different orders collide; irrational values are only
         # ever hashed alongside same-order peers (one field per group).
-        if not any(self.num[1:]):
+        if self.is_rational():
             if self.den == 1:
                 return hash(self.num[0])  # = hash(Fraction(n, 1))
             return hash(Fraction(self.num[0], self.den))
@@ -401,10 +401,7 @@ def _add(a: CycNum, b: CycNum, sign: int) -> CycNum:
     da, db = a.den, b.den
     if da == db:
         d = da
-        if sign == 1:
-            num = [x + y for x, y in zip(an, bn)]
-        else:
-            num = [x - y for x, y in zip(an, bn)]
+        num = [x + sign * y for x, y in zip(an, bn)]
     else:
         d = lcm(da, db)
         fa, fb = d // da, sign * (d // db)
