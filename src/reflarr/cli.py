@@ -193,12 +193,13 @@ def _monodromy_check(built, seed):
     import random
 
     rng = random.Random(seed)
+    chis = [chi(g, arr, h) for h in (0, 1, 2)]
     for _ in range(20):
         wi = rng.randrange(g.order)
         path = mn.straight_path_to(arr, wi, z, seed=seed)
-        for h in (0, 1, 2):
+        for h, chi_h in enumerate(chis):
             t = np.trace(mn.monodromy_matrix(arr, path, h))
-            if abs(t - chi(g, arr, h).at(wi).embed()) > 1e-5:
+            if abs(t - chi_h.at(wi).embed()) > 1e-5:
                 return False, f"trace mismatch at element {wi}, h = {h}"
     return True, "loops, local data, 20 traces"
 
@@ -219,16 +220,23 @@ def _cmd_analyze(args) -> tuple[int, dict]:
 
 
 def _parse_family(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("family must be d-range,e-range,r-range")
-    out = []
-    for p in parts:
-        if ".." in p:
-            lo, hi = p.split("..")
-            out.append(range(int(lo), int(hi) + 1))
-        else:
-            out.append(range(int(p), int(p) + 1))
+    """``D,E,R`` as three ranges, each part ``N`` or ``LO..HI`` with
+    1 <= LO <= HI; anything else is refused by name."""
+    parts, out = text.split(","), []
+    for part in parts:
+        lo, dots, hi = part.partition("..")
+        try:
+            lo = int(lo)
+            hi = int(hi) if dots else lo
+        except ValueError:
+            continue
+        if 1 <= lo <= hi:
+            out.append(range(lo, hi + 1))
+    if len(parts) != 3 or len(out) != 3:
+        raise ValueError(
+            "--family must be d,e,r, each N or LO..HI with 1 <= LO <= HI, "
+            f"got {text!r}"
+        )
     return out
 
 
@@ -415,6 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.order_bound <= 0:
+            raise ValueError(f"--order-bound must be positive, got {args.order_bound}")
         status, report = args.fn(args)
     except (OSError, ValueError, KeyError, NotFiniteWithinBound) as exc:
         print(f"error: {exc}", file=sys.stderr)

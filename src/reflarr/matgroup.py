@@ -204,7 +204,7 @@ class GroupModel:
 
     # -- products and inverses ---------------------------------------
 
-    def _word(self, j: int) -> list:
+    def word(self, j: int) -> list:
         """Generator indices s_1..s_m with elements[j] = g_{s_1} ... g_{s_m}."""
         parents, steps = self.spanning_tree
         word = []
@@ -221,11 +221,11 @@ class GroupModel:
 
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] * elements[j]."""
-        return self._times(i, self._word(j))
+        return self._times(i, self.word(j))
 
     def _powers(self, i: int) -> list:
         """Indices of x^0, x^1, ..., x^(k-1) for x = elements[i] of order k."""
-        word, powers = self._word(i), [self.identity_index, i]
+        word, powers = self.word(i), [self.identity_index, i]
         while powers[-1] != self.identity_index:
             powers.append(self._times(powers[-1], word))
         return powers[:-1]

@@ -2,16 +2,31 @@
 
 The connection only needs integrals of d(alpha)/alpha, which telescope
 into principal-branch logarithms of successive alpha ratios once every
-step turns by less than pi/4; segments are bisected automatically
-until that holds.  Scope is rank <= 2, where full matrices stay tiny
-and every formula can be compared against the exact characters.
+step turns by less than pi/4.  A path is an (N, dim) array of samples;
+:func:`integrate_path` evaluates every unit alpha at every sample in one
+matrix product and takes the turns of all N - 1 steps at once (the real
+parts telescope), and only the steps whose turn reaches pi/4 are
+bisected, one at a time.  Errors keep path order: the first sample on a
+hyperplane or coarse step met while walking the path raises, as "sample
+point lies on a hyperplane", "step too coarse" (refinement off) or
+"segment cannot be refined" (a coarse step that still turns by pi/4
+after MAX_BISECTIONS halvings).
+
+The unit alphas, the hermitian form and the group's generators are
+embedded once per arrangement (:func:`_embedded`, held weakly, so an
+arrangement carries no cache and nothing is kept alive); an element's
+matrix is the product of the embedded generators along its word.  Scope
+is rank <= 2, where full matrices stay tiny and every formula can be
+compared against the exact characters.
 """
 
 from __future__ import annotations
 
 import cmath
 import random
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,29 +36,98 @@ ON_HYPERPLANE_TOL = 1e-9
 MAX_STEP_ARG = cmath.pi / 4
 MAX_BISECTIONS = 48
 
+_ON_HYPERPLANE = "sample point lies on a hyperplane"
+_TOO_COARSE = "step too coarse: argument change >= pi/4; refine the path"
+_CROSSING = "segment cannot be refined; it crosses a hyperplane"
+
 
 @dataclass
 class PathTrace:
-    samples: list  # refined points, numpy complex vectors
+    samples: np.ndarray  # (N, dim) refined points, complex
     integrals: np.ndarray  # per hyperplane, continuous-branch value
     endpoint_element: int | None = None
     basepoint: np.ndarray | None = field(default=None, repr=False)
 
 
+class _Embedded(NamedTuple):
+    """One arrangement's exact data in complex doubles, read-only."""
+
+    alphas: np.ndarray  # rows: alpha_H scaled to unit norm
+    form: np.ndarray  # the hermitian form
+    generators: tuple  # the group's generators, () without a group
+
+
+_EMBEDDED = weakref.WeakKeyDictionary()
+
+
+def _frozen(rows) -> np.ndarray:
+    out = np.array(rows, dtype=complex)
+    out.flags.writeable = False
+    return out
+
+
+def _embedded(a: Arrangement) -> _Embedded:
+    """The embedding of a, made on first use and held only as long as
+    a lives (nothing is written onto the arrangement)."""
+    emb = _EMBEDDED.get(a)
+    if emb is None:
+        alphas = np.array(
+            [[x.embed() for x in h.alpha] for h in a.hyperplanes], dtype=complex
+        )
+        alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
+        gens = a.group.generators if a.group is not None else ()
+        emb = _EMBEDDED[a] = _Embedded(
+            _frozen(alphas),
+            _frozen(a.form.embed()),
+            tuple(_frozen(s.embed()) for s in gens),
+        )
+    return emb
+
+
 def _unit_alphas(a: Arrangement) -> np.ndarray:
-    """Rows: alpha_H embedded and scaled to unit norm."""
-    rows = np.array(
-        [[x.embed() for x in h.alpha] for h in a.hyperplanes], dtype=complex
-    )
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return rows
+    """Rows: alpha_H embedded and scaled to unit norm (read-only)."""
+    return _embedded(a).alphas
+
+
+def _element_matrix(a: Arrangement, i: int) -> np.ndarray:
+    """elements[i] embedded, as the product of the embedded generators
+    along its word (within a few ulps of ``g.matrix(i).embed()``)."""
+    gens = _embedded(a).generators
+    m = np.eye(a.dim, dtype=complex)
+    for s in a.group.word(i):
+        m = m @ gens[s]
+    return m
 
 
 def _check_regular(alphas: np.ndarray, point):
     vals = alphas @ point
     if np.min(np.abs(vals)) <= ON_HYPERPLANE_TOL:
-        raise ValueError("sample point lies on a hyperplane")
+        raise ValueError(_ON_HYPERPLANE)
     return vals
+
+
+def _bisect(alphas: np.ndarray, lo, hi, vals_lo):
+    """Refine one coarse step lo -> hi by bisection (linear
+    interpolation) until every sub-step turns by less than pi/4: the
+    points after lo up to hi, and the summed sub-step turns."""
+    pts, total = [], np.zeros(len(alphas))
+    vals_prev = vals_lo
+    stack = [(lo, hi, 0)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        vals_hi = _check_regular(alphas, hi)
+        turns = np.angle(vals_hi / vals_prev)
+        if np.max(np.abs(turns)) < MAX_STEP_ARG:
+            total += turns
+            vals_prev = vals_hi
+            pts.append(hi)
+            continue
+        if depth >= MAX_BISECTIONS:
+            raise ValueError(_CROSSING)
+        mid = (lo + hi) / 2
+        stack.append((mid, hi, depth + 1))
+        stack.append((lo, mid, depth + 1))
+    return pts, total
 
 
 def integrate_path(
@@ -54,45 +138,43 @@ def integrate_path(
 ) -> PathTrace:
     """Per-hyperplane integral of d(alpha)/alpha along the polyline.
 
-    Each step contributes log(alpha(next)/alpha(prev)) on the
-    principal branch; steps whose argument change reaches pi/4 are
-    bisected (linear interpolation) when refine is on, rejected
-    otherwise.  A step that cannot be refined within the bisection
-    budget crosses a hyperplane.
+    Each step contributes log(alpha(next)/alpha(prev)) on the principal
+    branch.  The real parts telescope to log|alpha(end)/alpha(start)|;
+    the turns (imaginary parts) of all steps are taken in one array
+    pass.  Steps that turn by pi/4 or more are bisected when refine is
+    on, rejected otherwise; one that cannot be refined within the
+    bisection budget crosses a hyperplane.  The first fault in path
+    order raises.
     """
-    pts = [np.asarray(s, dtype=complex) for s in samples]
+    pts = np.asarray(samples, dtype=complex)
     if len(pts) < 2:
         raise ValueError("a path needs at least two samples")
     alphas = _unit_alphas(a)
-    out_pts = [pts[0]]
-    vals_prev = _check_regular(alphas, pts[0])
-    n_h = len(a.hyperplanes)
-    total = np.zeros(n_h, dtype=complex)
-    for target in pts[1:]:
-        stack = [(out_pts[-1], target, 0)]
-        while stack:
-            lo, hi, depth = stack.pop()
-            vals_hi = _check_regular(alphas, hi)
-            steps = np.log(vals_hi / vals_prev)
-            if np.max(np.abs(steps.imag)) < MAX_STEP_ARG:
-                total += steps
-                vals_prev = vals_hi
-                out_pts.append(hi)
-                continue
-            if not refine:
-                raise ValueError(
-                    "step too coarse: argument change >= pi/4; refine the path"
-                )
-            if depth >= MAX_BISECTIONS:
-                raise ValueError(
-                    "segment cannot be refined; it crosses a hyperplane"
-                )
-            mid = (lo + hi) / 2
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
+    vals = pts @ alphas.T
+    bad = np.flatnonzero(np.min(np.abs(vals), axis=1) <= ON_HYPERPLANE_TOL)
+    # steps 0 .. stop-1 end at regular samples; step stop ends at the first bad one
+    stop = bad[0] - 1 if bad.size else len(pts) - 1
+    if stop < 0:
+        raise ValueError(_ON_HYPERPLANE)
+    turns = np.angle(vals[1 : stop + 1] / vals[:stop])
+    coarse = np.flatnonzero(np.max(np.abs(turns), axis=1) >= MAX_STEP_ARG)
+    if coarse.size and not refine:
+        raise ValueError(_TOO_COARSE)
+    turns[coarse] = 0
+    total = turns.sum(axis=0)
+    pieces, done = [], 0
+    for k in coarse:
+        sub, sub_total = _bisect(alphas, pts[k], pts[k + 1], vals[k])
+        total += sub_total
+        pieces += [pts[done : k + 1], np.reshape(sub, (-1, pts.shape[1]))]
+        done = k + 2
+    if stop < len(pts) - 1:
+        raise ValueError(_ON_HYPERPLANE)
+    if pieces:
+        pts = np.concatenate([*pieces, pts[done:]])
     return PathTrace(
-        samples=out_pts,
-        integrals=total,
+        samples=pts,
+        integrals=np.log(np.abs(vals[-1] / vals[0])) + 1j * total,
         endpoint_element=endpoint_element,
         basepoint=pts[0],
     )
@@ -102,7 +184,7 @@ def concatenate(a: Arrangement, first: PathTrace, second: PathTrace) -> PathTrac
     if not np.allclose(first.samples[-1], second.samples[0]):
         raise ValueError("paths do not concatenate")
     return PathTrace(
-        samples=first.samples + second.samples[1:],
+        samples=np.concatenate([first.samples, second.samples[1:]]),
         integrals=first.integrals + second.integrals,
         endpoint_element=None,
         basepoint=first.basepoint,
@@ -149,7 +231,7 @@ def default_basepoint(a: Arrangement, seed: int = 0) -> np.ndarray:
 
 
 def _hermitian_geometry(a: Arrangement, hyp_index: int):
-    fm = np.array(a.form.embed(), dtype=complex)
+    fm = _embedded(a).form
     e = np.array(
         [x.embed() for x in a.hyperplanes[hyp_index].root], dtype=complex
     )
@@ -183,6 +265,16 @@ def _waypoint(a: Arrangement, hyp_index: int, basepoint):
     return z_plus, z0_minus
 
 
+def _segment(p, q, steps: int) -> np.ndarray:
+    """steps evenly spaced samples from p to q, as rows."""
+    return p + (q - p) * np.linspace(0.0, 1.0, steps)[:, None]
+
+
+def _arc(center, radius_vec, turn: float, steps: int) -> np.ndarray:
+    """center + radius_vec exp(i turn t), t evenly spaced in [0, 1], as rows."""
+    return center + radius_vec * np.exp(1j * turn * np.linspace(0.0, 1.0, steps))[:, None]
+
+
 def braided_reflection_path(
     a: Arrangement, hyp_index: int, basepoint, steps: int = 48
 ) -> PathTrace:
@@ -194,15 +286,11 @@ def braided_reflection_path(
         raise ValueError("hyperplane carries no distinguished reflection")
     z = np.asarray(basepoint, dtype=complex)
     z_plus, z0_minus = _waypoint(a, hyp_index, z)
-    z0 = z_plus + z0_minus
-    gamma0 = [z + (z0 - z) * t for t in np.linspace(0.0, 1.0, steps)]
-    gamma1 = [
-        z_plus + z0_minus * cmath.exp(2j * cmath.pi * t / h.d)
-        for t in np.linspace(0.0, 1.0, steps)
-    ]
-    s = np.array(a.group.matrix(h.distinguished_reflection).embed(), dtype=complex)
-    gamma2 = [s @ p for p in reversed(gamma0)]
-    samples = gamma0 + gamma1[1:] + gamma2[1:]
+    gamma0 = _segment(z, z_plus + z0_minus, steps)
+    gamma1 = _arc(z_plus, z0_minus, 2 * cmath.pi / h.d, steps)
+    s = _element_matrix(a, h.distinguished_reflection)
+    gamma2 = gamma0[::-1] @ s.T
+    samples = np.concatenate([gamma0, gamma1[1:], gamma2[1:]])
     return integrate_path(
         a, samples, endpoint_element=h.distinguished_reflection
     )
@@ -214,13 +302,9 @@ def loop_around(
     """A closed loop winding once around H and around nothing else."""
     z = np.asarray(basepoint, dtype=complex)
     z_plus, z0_minus = _waypoint(a, hyp_index, z)
-    z0 = z_plus + z0_minus
-    gamma0 = [z + (z0 - z) * t for t in np.linspace(0.0, 1.0, steps)]
-    circle = [
-        z_plus + z0_minus * cmath.exp(2j * cmath.pi * t)
-        for t in np.linspace(0.0, 1.0, steps)
-    ]
-    samples = gamma0 + circle[1:] + list(reversed(gamma0))[1:]
+    gamma0 = _segment(z, z_plus + z0_minus, steps)
+    circle = _arc(z_plus, z0_minus, 2 * cmath.pi, steps)
+    samples = np.concatenate([gamma0, circle[1:], gamma0[-2::-1]])
     identity = a.group.identity_index if a.group is not None else None
     return integrate_path(a, samples, endpoint_element=identity)
 
@@ -230,7 +314,7 @@ def central_loop(
 ) -> PathTrace:
     """The path t -> exp(i theta t) z; every integral equals i theta."""
     z = np.asarray(basepoint, dtype=complex)
-    samples = [z * cmath.exp(1j * theta * t) for t in np.linspace(0.0, 1.0, steps)]
+    samples = _arc(0, z, theta, steps)
     return integrate_path(a, samples, endpoint_element=endpoint_element)
 
 
@@ -241,12 +325,12 @@ def straight_path_to(
     through a random regular midpoint (the straight segment to a
     central image can run through the origin)."""
     z = np.asarray(basepoint, dtype=complex)
-    w = np.array(a.group.matrix(element_index).embed(), dtype=complex)
-    target = w @ z
+    target = _element_matrix(a, element_index) @ z
     alphas = _unit_alphas(a)
-    line = [z + (target - z) * t for t in np.linspace(0.0, 1.0, steps)]
     try:
-        return integrate_path(a, line, endpoint_element=element_index)
+        return integrate_path(
+            a, _segment(z, target, steps), endpoint_element=element_index
+        )
     except ValueError:
         pass
     rng = random.Random(seed ^ element_index)
@@ -260,8 +344,9 @@ def straight_path_to(
         )
         if np.min(np.abs(alphas @ mid)) < 1e-3:
             continue
-        samples = [z + (mid - z) * t for t in np.linspace(0.0, 1.0, steps)]
-        samples += [mid + (target - mid) * t for t in np.linspace(0.0, 1.0, steps)][1:]
+        samples = np.concatenate(
+            [_segment(z, mid, steps), _segment(mid, target, steps)[1:]]
+        )
         try:
             return integrate_path(a, samples, endpoint_element=element_index)
         except ValueError:

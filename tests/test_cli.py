@@ -146,6 +146,31 @@ class TestKappaTable:
     def test_bad_family(self, capsys):
         assert cli.main(["kappa-table", "--family", "1..2"]) == 2
 
+    @pytest.mark.parametrize(
+        "family", ["3..1,1,2", "0..1,1,2", "1,1,-2", "a,b,c", "1..x,1,2", "1,1,2,0"]
+    )
+    def test_bad_family_named(self, family, capsys):
+        assert cli.main(["kappa-table", "--family", family, "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --family") and err.count("\n") == 1
+        assert "invalid literal" not in err
+
+    def test_single_value_parts(self, capsys):
+        assert cli.main(["kappa-table", "--family", "2,1,2", "--json"]) == 0
+        assert [row["group"] for row in _json_out(capsys)["rows"]] == ["G(2,1,2)"]
+
+
+class TestOrderBound:
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    @pytest.mark.parametrize("command", [["verify", None], ["kappa-table"]])
+    def test_non_positive_refused_by_name(self, bound, command, g4_spec, capsys):
+        argv = [g4_spec if a is None else a for a in command]
+        assert cli.main([*argv, "--order-bound", bound]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --order-bound must be positive, got {bound}\n"
+
 
 class TestChi:
     def test_g4_table(self, g4_spec, capsys):

@@ -4,9 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from reflarr import monodromy
 from reflarr.arrangement import Arrangement
 from reflarr.catalog import GroupSpec, build
 from reflarr.monodromy import (
+    MAX_BISECTIONS,
+    MAX_STEP_ARG,
+    ON_HYPERPLANE_TOL,
     PathTrace,
     braided_reflection_path,
     central_loop,
@@ -83,6 +87,131 @@ class TestIntegrate:
         arr = Arrangement.from_covectors([[1]])
         with pytest.raises(ValueError):
             integrate_path(arr, [np.array([1.0])])
+
+
+def _reference_integrals(a, samples):
+    """Sample-by-sample integration: one matvec and one logarithm per
+    step, each coarse step bisected depth-first; (points, integrals)."""
+    alphas = monodromy._unit_alphas(a)
+
+    def regular(p):
+        vals = alphas @ p
+        if np.min(np.abs(vals)) <= ON_HYPERPLANE_TOL:
+            raise ValueError("sample point lies on a hyperplane")
+        return vals
+
+    pts = [np.asarray(p, dtype=complex) for p in samples]
+    out, vals_prev = [pts[0]], regular(pts[0])
+    total = np.zeros(len(alphas), dtype=complex)
+    for target in pts[1:]:
+        stack = [(out[-1], target, 0)]
+        while stack:
+            lo, hi, depth = stack.pop()
+            vals_hi = regular(hi)
+            steps = np.log(vals_hi / vals_prev)
+            if np.max(np.abs(steps.imag)) < MAX_STEP_ARG:
+                total, vals_prev = total + steps, vals_hi
+                out.append(hi)
+                continue
+            assert depth < MAX_BISECTIONS
+            mid = (lo + hi) / 2
+            stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+    return np.array(out), total
+
+
+class TestArrayIntegrator:
+    """integrate_path against the step-by-step reference, on the paths
+    the builders hand it."""
+
+    @pytest.fixture()
+    def captured(self, monkeypatch):
+        calls = []
+        real = monodromy.integrate_path
+
+        def spy(a, samples, *args, **kwargs):
+            tr = real(a, samples, *args, **kwargs)
+            calls.append((a, np.array(samples), tr))
+            return tr
+
+        monkeypatch.setattr(monodromy, "integrate_path", spy)
+        return calls
+
+    def _agree(self, calls):
+        assert calls
+        for a, samples, tr in calls:
+            pts, total = _reference_integrals(a, samples)
+            assert tr.samples.shape == pts.shape
+            assert np.allclose(tr.samples, pts, rtol=0, atol=1e-12)
+            assert np.allclose(tr.integrals, total, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["g4", "g12"])
+    def test_loops_and_braided_paths(self, fixture, captured, request):
+        arr = request.getfixturevalue(fixture).arrangement
+        for seed in (0, 3):
+            z = default_basepoint(arr, seed=seed)
+            for k in range(len(arr)):
+                loop_around(arr, k, z)
+                braided_reflection_path(arr, k, z)
+        self._agree(captured)
+
+    @pytest.mark.parametrize("fixture", ["g4", "g12"])
+    def test_straight_paths(self, fixture, captured, request):
+        built = request.getfixturevalue(fixture)
+        z = default_basepoint(built.arrangement, seed=5)
+        for wi in range(built.group.order):
+            straight_path_to(built.arrangement, wi, z, seed=5)
+        self._agree(captured)
+
+    def test_coarse_circle_is_bisected(self):
+        arr = Arrangement.from_covectors([[1]])
+        samples = _circle(steps=5)
+        tr = integrate_path(arr, samples)
+        pts, total = _reference_integrals(arr, samples)
+        assert len(pts) > len(samples)
+        assert np.allclose(tr.samples, pts, rtol=0, atol=1e-12)
+        assert abs(tr.integrals[0] - total[0]) < 1e-12
+
+
+class TestErrorPrecedence:
+    """The first fault met walking the path in order is the one raised."""
+
+    def test_coarse_step_before_sample_on_hyperplane(self):
+        arr = Arrangement.from_covectors([[1]])
+        samples = [np.array([1.0]), np.array([1j]), np.array([0.0])]
+        with pytest.raises(ValueError, match="step too coarse"):
+            integrate_path(arr, samples, refine=False)
+        with pytest.raises(ValueError, match="lies on a hyperplane"):
+            integrate_path(arr, samples)
+
+    def test_sample_on_hyperplane_before_coarse_step(self):
+        arr = Arrangement.from_covectors([[1]])
+        samples = [np.array([1.0]), np.array([0.0]), np.array([1j]), np.array([-1.0])]
+        for refine in (False, True):
+            with pytest.raises(ValueError, match="lies on a hyperplane"):
+                integrate_path(arr, samples, refine=refine)
+
+    def test_first_sample_on_hyperplane(self):
+        arr = Arrangement.from_covectors([[1]])
+        with pytest.raises(ValueError, match="lies on a hyperplane"):
+            integrate_path(arr, [np.array([0.0]), np.array([1j])], refine=False)
+
+    def test_crossing_cannot_be_refined(self):
+        # no bisection point of this long real segment comes within the
+        # on-hyperplane tolerance of 0 before the budget runs out
+        arr = Arrangement.from_covectors([[1]])
+        samples = [np.array([1.0]), np.array([3e8]), np.array([-7e8]), np.array([0.0])]
+        with pytest.raises(ValueError, match="cannot be refined"):
+            integrate_path(arr, samples)
+
+
+class TestWordProduct:
+    @pytest.mark.parametrize("fixture", ["g4", "g12"])
+    def test_matches_exact_matrix(self, fixture, request):
+        built = request.getfixturevalue(fixture)
+        g, arr = built.group, built.arrangement
+        for i in range(g.order):
+            exact = np.array(g.matrix(i).embed(), dtype=complex)
+            assert np.allclose(monodromy._element_matrix(arr, i), exact, rtol=0, atol=1e-12)
 
 
 class TestLoops:
