@@ -7,12 +7,14 @@ The group is closed on integer line data (:mod:`reflarr.matgroup`), and
 the arrangement reads it without matrices.  Hyperplanes, roots and
 distinguished reflections come from the group's reflections, the
 transported roots from :attr:`GroupModel.root_lines`.  The action
-w.r_H = zeta_K^e r_{w(H)} on those roots is composed once per
-arrangement along the closure's spanning tree
-(:attr:`Arrangement.root_action`); kappa, chi_n (through the per-class
-fixed-line counts), the orbits, the Coxeter sign model and the
-monodromy permutations all read it.  Essentiality and irreducibility
-are computed once per arrangement.
+w.r_H = zeta_K^e r_{w(H)} on those roots is kept per generator
+(:attr:`Arrangement.generator_rows`), and an element's row is composed
+along the closure's spanning tree when asked for (:meth:`Arrangement.row`).
+Eigenvalues on fixed root lines are class invariants, so kappa and chi_n
+(through the per-class fixed-line counts) read one row per conjugacy
+class; the Coxeter sign model and monodromy read the rows they need,
+and the orbits are those of the generator permutations.  Essentiality
+and irreducibility are computed once per arrangement.
 
 A flat of the intersection lattice is the intersection of the
 hyperplanes that contain it, so it is stored as the integer bitmask of
@@ -24,7 +26,6 @@ mask inclusion.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +33,6 @@ from .cyclo import CycNum
 from .linalg import (
     Matrix,
     dot,
-    hermitian_product,
     normalize_first_nonzero,
     proportionality,
     rank,
@@ -132,36 +132,59 @@ class Arrangement:
         return None
 
     @cached_property
-    def root_action(self) -> RootAction:
-        """The group's monomial action on the root lines.
-
-        The generator rows come from :attr:`GroupModel.root_lines`; every
-        other row is composed along the group's spanning tree: for w = x s,
-        w.r_i = zeta_K^(e_s(i) + e_x(s(i))) r_{x(s(i))}.  Equal permutation
-        rows share one tuple; exponents are compact unsigned-int arrays.
-        """
+    def generator_rows(self) -> RootAction:
+        """The generators' rows on this arrangement's root lines, read from
+        :attr:`GroupModel.root_lines`.  A sub-arrangement that some
+        generator does not map onto itself is refused here, so every
+        composed row is a permutation of the arrangement."""
         g = self.group
         if g is None:
             raise ValueError("a standalone arrangement has no group action")
         roots, gens = g.root_lines
-        mod = len(gens.units)
-        own = [roots.index(h.root) for h in self.hyperplanes]
+        line_of = {r: i for i, r in enumerate(roots)}
+        own = [line_of[h.root] for h in self.hyperplanes]
         pos = {i: j for j, i in enumerate(own)}
         if any(p[i] not in pos for p in gens.perms for i in own):
             raise ArithmeticError("group element does not permute the arrangement")
-        gen_rows = [([pos[p[i]] for i in own], [x[i] for i in own])
-                    for p, x in zip(gens.perms, gens.exps)]
-        perms = [tuple(range(len(own)))]  # elements[0] is the identity
-        exps = [array("I", [0]) * len(own)]
-        distinct_perms = {}
-        parents, steps = g.spanning_tree
-        for x, gi in zip(parents[1:], steps[1:]):
-            s_perm, s_exp = gen_rows[gi]
-            x_perm, x_exp = perms[x], exps[x]
-            perm = tuple(x_perm[j] for j in s_perm)
-            perms.append(distinct_perms.setdefault(perm, perm))
-            exps.append(array("I", [(e + x_exp[j]) % mod for j, e in zip(s_perm, s_exp)]))
-        return RootAction(tuple(perms), tuple(exps), gens.units)
+        return RootAction(
+            tuple(tuple(pos[p[i]] for i in own) for p in gens.perms),
+            tuple(tuple(x[i] for i in own) for x in gens.exps),
+            gens.units,
+        )
+
+    @property
+    def units(self) -> tuple:
+        """units[e] = zeta_K^e, the scalars of the rows."""
+        return self.generator_rows.units
+
+    @cached_property
+    def _rows(self) -> dict:  # element index -> row, for the rows asked for
+        return {self.group.identity_index: (tuple(range(len(self))), (0,) * len(self))}
+
+    def row(self, w: int) -> tuple:
+        """(perm, exps) with w.r_i = units[exps[i]] r_{perm[i]} for
+        w = elements[w].
+
+        Composed from the generator rows along the group's spanning
+        tree, from the nearest ancestor already asked for: for w = x s,
+        w.r_i = zeta_K^(e_s(i) + e_x(s(i))) r_{x(s(i))}.  Only the rows
+        asked for (class minima, generators, monodromy endpoints) are
+        kept.
+        """
+        gens, rows = self.generator_rows, self._rows
+        parents, steps = self.group.spanning_tree
+        path, x = [], w
+        while x not in rows:
+            path.append(steps[x])
+            x = parents[x]
+        perm, exps = rows[x]
+        mod = len(gens.units)
+        for s in reversed(path):
+            s_perm = gens.perms[s]
+            perm, exps = (tuple(perm[j] for j in s_perm),
+                          tuple((e + exps[j]) % mod for j, e in zip(s_perm, gens.exps[s])))
+        rows[w] = perm, exps
+        return perm, exps
 
     @cached_property
     def fixed_line_counts(self) -> tuple:
@@ -169,21 +192,21 @@ class Arrangement:
         (e, count) pairs, e ascending, counting the root lines that w
         fixes with scalar zeta_K^e.  They do not depend on n, so chi_n
         only sums units over them."""
-        act = self.root_action
         out = []
         for cls in self.group.classes:
-            counts = [0] * len(act.units)
-            for i, (j, e) in enumerate(zip(act.perms[cls[0]], act.exps[cls[0]])):
+            counts = [0] * len(self.units)
+            perm, exps = self.row(cls[0])
+            for i, (j, e) in enumerate(zip(perm, exps)):
                 if i == j:
                     counts[e] += 1
             out.append(tuple((e, c) for e, c in enumerate(counts) if c))
         return tuple(out)
 
     def action_of(self, g: GroupModel) -> RootAction:
-        """root_action, refusing any group but the arrangement's own."""
+        """generator_rows, refusing any group but the arrangement's own."""
         if self.group is not g:
             raise ValueError("the arrangement belongs to a different group")
-        return self.root_action
+        return self.generator_rows
 
     def image_hyperplane(self, w: Matrix, i: int) -> int | None:
         """w(H_i) as a hyperplane index, for a matrix w that permutes the
@@ -192,12 +215,22 @@ class Arrangement:
 
     @cached_property
     def orbits(self) -> tuple:
-        """Partition of hyperplane indices under the group action."""
+        """Partition of hyperplane indices under the group action: the
+        orbits of the generator permutations."""
         if self.group is None:
             return tuple((i,) for i in range(len(self)))
-        perms = self.root_action.perms
-        orbits = {tuple(sorted({p[i] for p in perms})) for i in range(len(self))}
-        return tuple(sorted(orbits))  # disjoint, so ordered by least index
+        perms = self.generator_rows.perms
+        seen, orbits = set(), []
+        for i in range(len(self)):
+            if i not in seen:
+                orbit = [i]
+                seen.add(i)
+                for j in orbit:  # the orbit grows while walked: breadth first
+                    new = {p[j] for p in perms} - seen
+                    seen |= new
+                    orbit += new
+                orbits.append(tuple(sorted(orbit)))
+        return tuple(orbits)  # disjoint, so ordered by least index
 
     # -- essentiality and irreducibility -----------------------------
 
@@ -208,11 +241,15 @@ class Arrangement:
     def _essential(self) -> bool:
         return rank([list(h.alpha) for h in self.hyperplanes]) == self.dim
 
+    @cached_property
+    def _pairing(self) -> tuple:
+        """(conj(r_i), F r_i) per hyperplane, so (r_i|r_j) = conj(r_i) . F r_j."""
+        roots, f = [h.root for h in self.hyperplanes], self.form
+        return [tuple(x.conjugate() for x in r) for r in roots], [f.matvec(r) for r in roots]
+
     def root_orthogonal(self, i: int, j: int) -> bool:
-        f = self.form
-        return hermitian_product(
-            f, self.hyperplanes[i].root, self.hyperplanes[j].root
-        ).is_zero()
+        conj, images = self._pairing
+        return dot(conj[i], images[j]).is_zero()
 
     def greedy_connected_basis(self) -> list[int]:
         """Grow a connected, linearly independent set of roots greedily.
@@ -225,7 +262,7 @@ class Arrangement:
         chosen = [0]
         span_rows = [list(self.hyperplanes[0].root)]
         changed = True
-        while changed:
+        while changed and len(chosen) < self.dim:  # dim roots admit no more
             changed = False
             for i in range(len(self)):
                 if i in chosen:

@@ -12,6 +12,7 @@ import argparse
 import cmath
 import json
 import sys
+from functools import cache
 from math import gcd
 
 from . import quadmap
@@ -175,8 +176,6 @@ def _run_checks(built, suites, seed) -> list:
 
 
 def _monodromy_check(built, seed):
-    import numpy as np
-
     from . import monodromy as mn
 
     g, arr = built.group, built.arrangement
@@ -198,7 +197,7 @@ def _monodromy_check(built, seed):
         wi = rng.randrange(g.order)
         path = mn.straight_path_to(arr, wi, z, seed=seed)
         for h, chi_h in enumerate(chis):
-            t = np.trace(mn.monodromy_matrix(arr, path, h))
+            t = mn.monodromy_trace(arr, path, h)
             if abs(t - chi_h.at(wi).embed()) > 1e-5:
                 return False, f"trace mismatch at element {wi}, h = {h}"
     return True, "loops, local data, 20 traces"
@@ -375,6 +374,7 @@ def render_text(obj, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+@cache  # a parser can parse any number of argument lists
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reflarr", description="reflection arrangement workbench"

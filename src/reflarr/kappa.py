@@ -2,11 +2,11 @@
 
 For each hyperplane H and each w with w.r_H = zeta_K^e r_H the order
 K / gcd(e, K) of the scalar is recorded; kappa is the lcm of all such
-orders.  The pairs and their exponents are read from the arrangement's
-root-line action (:attr:`reflarr.arrangement.Arrangement.root_action`),
-not recomputed from matrices.  The realized index set is always the full divisor set
-of kappa, there is a closed formula in the monomial family, and a
-reference table covers the exceptional types.
+orders.  The orders do not change under conjugation, so they are read
+from one root-line row per conjugacy class (:meth:`Arrangement.row`),
+not recomputed from matrices.  The realized index set is always the full
+divisor set of kappa, there is a closed formula in the monomial family,
+and a reference table covers the exceptional types.
 """
 
 from __future__ import annotations
@@ -26,20 +26,22 @@ class AIndexReport:
 
 
 def a_indices(g: GroupModel, a: Arrangement) -> AIndexReport:
-    """Sweep all (w, H) pairs for root-line eigenvalues.
+    """Sweep one row per conjugacy class for root-line eigenvalues.
 
-    A pair contributes when w maps the root line of H to itself; the
-    order of its eigenvalue zeta_K^e is K / gcd(e, K), recorded with a
-    witness.  g must be the arrangement's own group.
+    A pair (w, H) contributes when w maps the root line of H to itself;
+    the order of its eigenvalue zeta_K^e is K / gcd(e, K), recorded with
+    a witness.  Conjugates realize the same orders and classes come by
+    least element, so the class minima give the first (w, H) in index
+    order.  g must be the arrangement's own group.
     """
-    act = a.action_of(g)
-    mod = len(act.units)
+    mod = len(a.action_of(g).units)
     orders = [mod // gcd(e, mod) for e in range(mod)]
     witnesses: dict[int, tuple[int, int]] = {}
-    for wi, (perm, exps) in enumerate(zip(act.perms, act.exps)):
+    for cls in g.classes:
+        perm, exps = a.row(cls[0])
         for hi, (j, e) in enumerate(zip(perm, exps)):
             if j == hi and orders[e] not in witnesses:
-                witnesses[orders[e]] = (wi, hi)
+                witnesses[orders[e]] = (cls[0], hi)
     indices = tuple(sorted(witnesses))
     return AIndexReport(indices=indices, kappa=lcm(*indices), witnesses=witnesses)
 

@@ -10,9 +10,9 @@ Reflection Groups, ch. 1-2; Holt-Eick-O'Brien, Handbook of
 Computational Group Theory, 4.1).  The breadth-first closure multiplies
 these integer pairs, x * s = (p_x o p_s, e_s + e_x o p_s), never
 matrices, and records the Cayley table (the index of x * s for every
-element x and generator s) and its spanning tree.  Products, inverses,
-element orders and the center read the table; conjugacy classes read
-the table and the pairs.
+element x and generator s) and its spanning tree.  Products, element
+orders and the center read the table, inverses invert each pair once,
+and conjugacy classes read the table and the inverses: integers only.
 
 Matrices exist on demand only: M_w = C_w B^-1, where B has a basis of
 lines and of V^W as columns and C_w their images under w.  The
@@ -53,12 +53,13 @@ class Reflection:
 class RootAction:
     """Row k sends the line v_i to ``units[exps[k][i]] * v_{perms[k][i]}``,
     ``units[e]`` = zeta_K^e in the group's field Q(zeta_k), K = lcm(2, k).
-    One row per generator in :attr:`GroupModel.root_lines`, per element
-    in :attr:`reflarr.arrangement.Arrangement.root_action`; the rows on
-    all the closure's lines are kept in a :class:`LineSet`."""
+    One row per generator, on the roots in :attr:`GroupModel.root_lines`
+    and on an arrangement's in :attr:`Arrangement.generator_rows`, which
+    :meth:`Arrangement.row` composes into the row of any element asked
+    for; the rows on all the closure's lines are kept in a :class:`LineSet`."""
 
     perms: tuple
-    exps: tuple  # one array('I') of exponents mod K per row
+    exps: tuple  # one sequence of exponents mod K per row
     units: tuple
 
 
@@ -79,12 +80,14 @@ class GroupModel:
     """A finite matrix group: its lines, each element's action on them,
     the Cayley table and the structure read from that table."""
 
-    def __init__(self, generators, lines: LineSet, codes, table, spanning_tree,
+    def __init__(self, generators, lines: LineSet, code_index, table, spanning_tree,
                  order_bound=DEFAULT_ORDER_BOUND):
         self.generators = tuple(generators)
         self.lines = lines  # what the codes refer to, with the generators' rows
+        # code_index: the closure's dict codes[x] -> x, in index order, with
         # codes[x][i] = K p(i) + e(i) for elements[x] v_i = zeta_K^e(i) v_p(i)
-        self.codes = tuple(codes)
+        self.code_index = code_index
+        self.codes = tuple(code_index)
         # table[s][x] is the index of elements[x] * generators[s]
         self.table = table
         # (parents, steps): elements[k] = elements[parents[k]] *
@@ -168,7 +171,7 @@ class GroupModel:
                         )
                 table[gi].append(yi)
         return GroupModel(
-            generators, lines, codes, table, (tuple(parents), tuple(steps)), order_bound
+            generators, lines, seen, table, (tuple(parents), tuple(steps)), order_bound
         )
 
     # -- matrices on demand ------------------------------------------
@@ -223,24 +226,27 @@ class GroupModel:
         """Index of elements[i] * elements[j]."""
         return self._times(i, self.word(j))
 
-    def _powers(self, i: int) -> list:
-        """Indices of x^0, x^1, ..., x^(k-1) for x = elements[i] of order k."""
-        word, powers = self.word(i), [self.identity_index, i]
-        while powers[-1] != self.identity_index:
-            powers.append(self._times(powers[-1], word))
-        return powers[:-1]
-
     def element_order(self, i: int) -> int:
-        return len(self._powers(i))
+        word, x, k = self.word(i), i, 1
+        while x != self.identity_index:
+            x, k = self._times(x, word), k + 1
+        return k
 
     @cached_property
     def inverses(self) -> tuple:
-        inv = [None] * self.order
-        for i in range(self.order):
-            if inv[i] is None:
-                powers = self._powers(i)
-                for k, p in enumerate(powers):
-                    inv[p] = powers[-k]  # x^k has inverse x^(order - k)
+        """Each element's inverse, once per pair (w, w^-1): w v_i = zeta_K^e v_p
+        gives w^-1 v_p = zeta_K^-e v_i, so code c at i puts K i + (-e mod K)
+        at line p = c // K, and the inverse's code is looked up in code_index."""
+        mod, n = len(self.lines.units), len(self.lines.vectors)
+        line, neg = [c // mod for c in range(mod * n)], [-c % mod for c in range(mod * n)]
+        starts, index = range(0, mod * n, mod), self.code_index
+        inv, out = [None] * self.order, [0] * n
+        for x, code in enumerate(self.codes):
+            if inv[x] is None:
+                for k, c in zip(starts, code):
+                    out[line[c]] = k + neg[c]
+                y = index[tuple(out)]
+                inv[x], inv[y] = y, x
         return tuple(inv)
 
     # -- conjugacy structure -----------------------------------------
@@ -250,38 +256,24 @@ class GroupModel:
         """Partition of element indices into conjugacy classes.
 
         Classes are ordered by their smallest element index, so the
-        identity class comes first.  The conjugate s^-1 x s is read from
-        x's codes: s v_i = zeta_K^e v_j gives s^-1 (zeta_K^f v_j) =
-        zeta_K^(f - e) v_i, one lookup per code for the left factor, and
-        the right factor s is a table lookup.
+        identity class comes first.  The conjugate s^-1 x s is integer
+        lookups only: s^-1 x = (x^-1 s)^-1, so it is
+        table[s][inv[table[s][inv[x]]]].
         """
-        mod = len(self.lines.units)
-        lefts = []
-        for perm, exps in zip(self.lines.perms, self.lines.exps):
-            left = [0] * (mod * len(perm))
-            for i, (j, e) in enumerate(zip(perm, exps)):
-                for f in range(mod):
-                    left[j * mod + f] = i * mod + (f - e) % mod
-            lefts.append(left.__getitem__)
-        index = {code: i for i, code in enumerate(self.codes)}
-        assigned = [None] * self.order
+        inv = self.inverses
+        assigned = [False] * self.order
         classes = []
         for start in range(self.order):
-            if assigned[start] is not None:
+            if assigned[start]:
                 continue
             cls = [start]
-            assigned[start] = len(classes)
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for left, right in zip(lefts, self.table):
-                        y = right[index[tuple(map(left, self.codes[x]))]]
-                        if assigned[y] is None:
-                            assigned[y] = len(classes)
-                            cls.append(y)
-                            nxt.append(y)
-                frontier = nxt
+            assigned[start] = True
+            for x in cls:  # cls is also the breadth-first queue
+                for right in self.table:
+                    y = right[inv[right[inv[x]]]]
+                    if not assigned[y]:
+                        assigned[y] = True
+                        cls.append(y)
             classes.append(tuple(sorted(cls)))
         return tuple(classes)
 

@@ -196,12 +196,22 @@ def monodromy_matrix(a: Arrangement, trace: PathTrace, h: complex) -> np.ndarray
     exponentiated integrals: M[w(H), H] = exp(h * integral_H)."""
     if trace.endpoint_element is None:
         raise ValueError("trace has no endpoint group element")
-    perm = a.root_action.perms[trace.endpoint_element]
+    perm = a.row(trace.endpoint_element)[0]
     n_h = len(a.hyperplanes)
     m = np.zeros((n_h, n_h), dtype=complex)
     for i, j in enumerate(perm):
         m[j, i] = cmath.exp(h * trace.integrals[i])
     return m
+
+
+def monodromy_trace(a: Arrangement, trace: PathTrace, h: complex) -> complex:
+    """The trace of :func:`monodromy_matrix`, without the matrix: the sum
+    of exp(h * integral_H) over the H that the endpoint element fixes,
+    in hyperplane order."""
+    if trace.endpoint_element is None:
+        raise ValueError("trace has no endpoint group element")
+    perm = a.row(trace.endpoint_element)[0]
+    return sum((cmath.exp(h * trace.integrals[i]) for i, j in enumerate(perm) if i == j), 0j)
 
 
 def default_basepoint(a: Arrangement, seed: int = 0) -> np.ndarray:

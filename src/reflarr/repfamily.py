@@ -2,10 +2,11 @@
 
 chi_n(w) sums zeta^n over the hyperplanes whose root line is a
 w-eigenline with eigenvalue zeta = zeta_K^e: the trace of R_n(w), read
-as integer exponents from the arrangement's root-line action (computed
-once, in :attr:`reflarr.arrangement.Arrangement.root_action`).  Only
+as integer exponents from one root-line row per conjugacy class
+(:meth:`reflarr.arrangement.Arrangement.row`, counted once per class in
+:attr:`reflarr.arrangement.Arrangement.fixed_line_counts`).  Only
 :func:`restriction_check` recomputes eigenvalues from matrices, so that
-its two sides stay independent of that table.  The family is periodic
+its two sides stay independent of those rows.  The family is periodic
 with period kappa, chi_0 is the permutation character on the
 arrangement, and chi_1 determines the rest of the coprime layer through
 the Galois action.  Also houses the signed-permutation model for real
@@ -24,7 +25,7 @@ from .arrangement import Arrangement
 from .catalog import BuiltGroup, GroupSpec, build
 from .cyclo import CycNum
 from .kappa import a_indices
-from .linalg import Matrix, dot, proportionality, rewrite, vec_sum
+from .linalg import Matrix, dot, proportionality, rewrite
 from .matgroup import GroupModel
 
 
@@ -54,14 +55,15 @@ def class_representatives(g: GroupModel):
 def chi(g: GroupModel, a: Arrangement, n: int) -> ClassFunction:
     """chi_n on each conjugacy class; g must be the arrangement's group."""
     units = a.action_of(g).units
-    mod = len(units)
+    mod, order = len(units), units[0].order
     values = []
     for counts in a.fixed_line_counts:
-        merged = {}  # one count per distinct unit zeta_K^(n e)
+        # the units share one order: add count x unit numerators, reduce once
+        num = [0] * order
         for e, c in counts:
-            k = n * e % mod
-            merged[k] = merged.get(k, 0) + c
-        values.append(vec_sum(c * units[k] for k, c in merged.items()))
+            for k, x in enumerate(units[n * e % mod].num):
+                num[k] += c * x
+        values.append(CycNum(order, num) if counts else CycNum.zero())
     return ClassFunction(g, tuple(values))
 
 
@@ -209,12 +211,12 @@ def _sign_matrix(built: BuiltGroup, element_index: int) -> Matrix:
     """w.f_i = sign f_{w(i)} on the positive roots f_i = +-r_i: the sign
     is zeta_K^e (K = 2 in a rational model) from w.r_i = zeta_K^e r_{w(i)},
     negated when exactly one of f_i, f_{w(i)} is a flipped root."""
-    act = built.arrangement.root_action
-    flipped = [f != h.root for f, h in zip(built.positive_roots, built.arrangement.hyperplanes)]
-    perm, exps = act.perms[element_index], act.exps[element_index]
+    arr = built.arrangement
+    flipped = [f != h.root for f, h in zip(built.positive_roots, arr.hyperplanes)]
+    perm, exps = arr.row(element_index)
     rows = [[CycNum.zero()] * len(perm) for _ in perm]
     for i, (j, e) in enumerate(zip(perm, exps)):
-        rows[j][i] = act.units[e] if flipped[i] == flipped[j] else -act.units[e]
+        rows[j][i] = arr.units[e] if flipped[i] == flipped[j] else -arr.units[e]
     return Matrix(rows)
 
 

@@ -58,7 +58,7 @@ def test_inverses_and_orders_match_matrix_powers(group):
     for i, w in enumerate(g.elements):
         k = _matrix_order(w)
         assert g.element_order(i) == k, i
-        assert g.inverses[i] == g.index[w ** (k - 1)], i
+        assert g.inverses[i] == g.index[w ** (k - 1)] == g.index[w.inverse()], i
 
 
 def test_classes_match_matrix_conjugation(group):
@@ -127,6 +127,9 @@ def test_structure_needs_no_matrix_product_after_closure(generators, monkeypatch
     assert g.identity_index in g.center
     assert g.reflections
     arr = Arrangement.from_group(g)
-    assert len(arr.root_action.exps) == g.order
+    rows = [arr.row(w) for w in range(g.order)]
+    assert len(rows) == g.order
+    assert all(sorted(perm) == list(range(len(arr))) == list(range(len(exps)))
+               for perm, exps in rows)
     assert a_indices(g, arr).kappa == 6
     assert g.invariant_hermitian_form.conj_transpose() == g.invariant_hermitian_form

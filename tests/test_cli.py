@@ -380,3 +380,15 @@ class TestRendering:
         assert "G4" in text and "24" in text
         # scalar content survives the rendering
         assert str(rep["kappa"]["kappa"]) in text
+
+
+class TestParser:
+    def test_one_parser_parses_independent_argument_lists(self, g4_spec):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        first = parser.parse_args(["verify", g4_spec, "--json", "--seed", "3", "--suite", "chi"])
+        second = parser.parse_args(["verify", g4_spec])
+        assert (first.json, first.seed, first.suite) == (True, 3, "chi")
+        assert (second.json, second.seed, second.suite) == (False, 0, "all")
+        third = parser.parse_args(["chi", g4_spec])
+        assert third.n_range == "0..5" and not hasattr(third, "suite")

@@ -19,6 +19,7 @@ from reflarr.monodromy import (
     integrate_path,
     loop_around,
     monodromy_matrix,
+    monodromy_trace,
     straight_path_to,
 )
 from reflarr.repfamily import chi
@@ -330,6 +331,20 @@ class TestTraceAgreement:
             for h in (0, 1, 2):
                 t = np.trace(monodromy_matrix(arr, tr, h))
                 assert abs(t - chis[h].at(wi).embed()) < 1e-5
+
+    @pytest.mark.parametrize(
+        "spec", [GroupSpec.exceptional(4), GroupSpec.exceptional(12)], ids=["G4", "G12"]
+    )
+    def test_trace_without_the_matrix(self, spec):
+        arr = build(spec).arrangement
+        z = default_basepoint(arr, seed=3)
+        for wi in random.Random(7).sample(range(arr.group.order), 10):
+            tr = straight_path_to(arr, wi, z)
+            for h in (0, 1, 2, 0.5j):
+                t = np.trace(monodromy_matrix(arr, tr, h))
+                assert abs(monodromy_trace(arr, tr, h) - t) < 1e-12
+        with pytest.raises(ValueError):
+            monodromy_trace(arr, central_loop(arr, z, 0.5), 1.0)
 
 
 class TestBasepoint:

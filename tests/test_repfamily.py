@@ -6,7 +6,7 @@ from reflarr import repfamily
 from reflarr.arrangement import Arrangement
 from reflarr.catalog import GroupSpec, build
 from reflarr.cyclo import CycNum
-from reflarr.linalg import Matrix, dot, nullspace, proportionality
+from reflarr.linalg import Matrix, dot, nullspace, proportionality, vec_sum
 from reflarr.repfamily import (
     ClassFunction,
     check_periodicity,
@@ -20,6 +20,7 @@ from reflarr.repfamily import (
     restriction_check,
     trivial_character,
 )
+from test_root_action import GROUPS
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,21 @@ class TestChi:
         # chi_{-1} is the conjugate of chi_1 (eigenvalues are unitary)
         c1, cm1 = chi(g, arr, 1), chi(g, arr, -1)
         assert cm1.values == tuple(v.conjugate() for v in c1.values)
+
+    def test_values_match_a_sum_of_terms(self):
+        # the canonical (order, num, den) of every class value equals
+        # that of adding count x unit terms one CycNum at a time
+        seen_empty = seen_zero = False
+        for name, make in sorted(GROUPS.items()):
+            g, arr = make()
+            mod = len(arr.units)
+            for n in range(-1, 2 * mod + 1):
+                for counts, v in zip(arr.fixed_line_counts, chi(g, arr, n).values):
+                    ref = vec_sum(c * arr.units[n * e % mod] for e, c in counts)
+                    assert (v.order, v.num, v.den) == (ref.order, ref.num, ref.den), (name, n)
+                    seen_empty |= not counts
+                    seen_zero |= bool(counts) and v.is_zero()
+        assert seen_empty and seen_zero
 
     def test_constant_on_classes(self, g4):
         g, arr = g4.group, g4.arrangement
@@ -351,8 +367,7 @@ class TestSignModel:
         # roots flip some of them, which conjugates by a sign diagonal
         built = build(spec)
         arr = built.arrangement
-        act = arr.root_action
-        assert len(act.units) == 2
+        assert len(arr.units) == 2
         sign = []
         for f, h in zip(built.positive_roots, arr.hyperplanes):
             assert f in (h.root, tuple(-x for x in h.root))
@@ -361,7 +376,7 @@ class TestSignModel:
         n = len(arr)
         for wi in range(built.group.order):
             rows = [[0] * n for _ in range(n)]
-            for i, (j, e) in enumerate(zip(act.perms[wi], act.exps[wi])):
+            for i, (j, e) in enumerate(zip(*arr.row(wi))):
                 rows[j][i] = sign[i] * sign[j] * (-1) ** e
             assert model.matrix_of(wi) == Matrix(rows), wi
 

@@ -1,11 +1,14 @@
-"""The root-line action table and the invariant form against the
-exact matrix path.
+"""The root-line rows and the invariant form against the exact matrix
+path.
 
-Arrangement.root_action composes every row from the generator rows;
-these tests recompute w.r_i with matvec for every element and
-hyperplane, and rebuild a_indices from a direct sweep.  The form
-computed from the transported roots is compared with the |W|-term
-average sum_w w^* w.
+Arrangement.row composes the row of an element from the generator
+rows; these tests recompute w.r_i with matvec for every element and
+hyperplane, and rebuild a_indices from a direct sweep and from a sweep
+over every element's row.  Orbits are recomputed from every element's
+row, root orthogonality is checked against the hermitian product and
+the greedy root basis against a scan that does not stop at dim roots.
+The form computed from the transported roots is compared with the
+|W|-term average sum_w w^* w.
 """
 
 import itertools
@@ -17,7 +20,7 @@ from reflarr.arrangement import Arrangement
 from reflarr.catalog import GroupSpec, _monomial_generators, build
 from reflarr.cyclo import CycNum
 from reflarr.kappa import a_indices
-from reflarr.linalg import Matrix, dot, hermitian_product, nullspace, proportionality
+from reflarr.linalg import Matrix, dot, hermitian_product, nullspace, proportionality, rank
 from reflarr.matgroup import GroupModel
 from reflarr.repfamily import chi
 
@@ -70,22 +73,20 @@ GROUPS = {
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_table_matches_matvec(name):
     g, arr = GROUPS[name]()
-    act = arr.root_action
     roots = [h.root for h in arr.hyperplanes]
     for wi, w in enumerate(g.elements):
+        perm, exps = arr.row(wi)
         for i, root in enumerate(roots):
-            j = act.perms[wi][i]
-            u = act.units[act.exps[wi][i]]
-            assert w.matvec(root) == tuple(u * x for x in roots[j]), (wi, i)
+            u = arr.units[exps[i]]
+            assert w.matvec(root) == tuple(u * x for x in roots[perm[i]]), (wi, i)
 
 
 def test_exponents_realize_mu_6():
     g, arr = GROUPS["G(3,1,3)"]()
-    act = arr.root_action
     # the root-line scalars of G(3,1,3) are the sixth roots of unity
-    assert len(act.units) == 6 and act.units[1].as_root_of_unity() == 6
-    assert all(u == act.units[1] ** e for e, u in enumerate(act.units))
-    assert set().union(*act.exps) == set(range(6))
+    assert len(arr.units) == 6 and arr.units[1].as_root_of_unity() == 6
+    assert all(u == arr.units[1] ** e for e, u in enumerate(arr.units))
+    assert set().union(*(arr.row(wi)[1] for wi in range(g.order))) == set(range(6))
 
 
 def _direct_sweep(g, arr):
@@ -106,6 +107,88 @@ def test_a_indices_match_direct_sweep(spec):
     g, arr = _catalog(spec)
     rep = a_indices(g, arr)
     assert (rep.indices, rep.kappa, rep.witnesses) == _direct_sweep(g, arr)
+
+
+CLASS_LEVEL_GROUPS = {
+    **GROUPS,
+    "G(4,2,3)": lambda: _catalog(GroupSpec.imprimitive(2, 2, 3)),
+    "G(5,5,3)": lambda: _catalog(GroupSpec.imprimitive(1, 5, 3)),
+}
+
+
+def _every_row_sweep(g, arr):
+    """a_indices by brute force: every (w, H) pair, w in index order."""
+    mod = len(arr.units)
+    witnesses = {}
+    for wi in range(g.order):
+        for hi, (j, e) in enumerate(zip(*arr.row(wi))):
+            if j == hi:
+                witnesses.setdefault(mod // gcd(e, mod), (wi, hi))
+    return tuple(sorted(witnesses)), lcm(*witnesses), witnesses
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_LEVEL_GROUPS))
+def test_class_level_sweep_matches_every_row(name):
+    g, arr = CLASS_LEVEL_GROUPS[name]()
+    rep = a_indices(g, arr)
+    assert (rep.indices, rep.kappa, rep.witnesses) == _every_row_sweep(
+        g, Arrangement.from_group(g)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_orbits_match_every_row(name):
+    g, arr = GROUPS[name]()
+    rows = [arr.row(wi)[0] for wi in range(g.order)]
+    orbits = {tuple(sorted({perm[i] for perm in rows})) for i in range(len(arr))}
+    assert arr.orbits == tuple(sorted(orbits))
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_root_orthogonal_matches_hermitian_product(name):
+    _, arr = GROUPS[name]()
+    roots = [h.root for h in arr.hyperplanes]
+    for i, j in itertools.product(range(len(arr)), repeat=2):
+        expect = hermitian_product(arr.form, roots[i], roots[j]).is_zero()
+        assert arr.root_orthogonal(i, j) == expect, (i, j)
+
+
+def _full_scan_basis(arr):
+    """greedy_connected_basis scanning on after dim roots are chosen."""
+    chosen, changed = [0], True
+    while changed:
+        changed = False
+        for i in range(len(arr)):
+            if i in chosen or all(arr.root_orthogonal(i, j) for j in chosen):
+                continue
+            candidate = [arr.hyperplanes[k].root for k in [*chosen, i]]
+            if rank([list(r) for r in candidate]) == len(candidate):
+                chosen.append(i)
+                changed = True
+                break
+    return chosen
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_greedy_basis_matches_full_scan(name):
+    _, arr = GROUPS[name]()
+    basis = arr.greedy_connected_basis()
+    assert basis == _full_scan_basis(arr)
+    verdict = arr.irreducibility()
+    assert verdict.irreducible == (name != "product")
+    assert verdict.certificate == (tuple(basis) if verdict.irreducible else None)
+
+
+def test_unstable_sub_arrangement_is_refused():
+    g, arr = GROUPS["B4"]()
+    assert len(arr.orbits) == 2
+    part = arr.sub([0])
+    for read in (lambda: part.row(1), lambda: part.orbits, lambda: a_indices(g, part)):
+        with pytest.raises(ArithmeticError, match="does not permute the arrangement"):
+            read()
+    # an orbit is stable, and the orbits together realize every order
+    per_orbit = [a_indices(g, arr.sub(orbit)).indices for orbit in arr.orbits]
+    assert set().union(*per_orbit) == set(a_indices(g, arr).indices)
 
 
 class TestCrossGroup:
