@@ -11,7 +11,11 @@ of each stage on a freshly generated group:
 - ``a_indices``: ``Arrangement.from_group`` plus ``kappa.a_indices``,
   which composes one root-line row per conjugacy class
 - ``irreducibility``: the root-graph verdict on a fresh arrangement,
-  the group's invariant form already built
+  read from one reflection row per orbit; the group's invariant form
+  is not built
+- ``equivariance``: ``quadmap.equivariance_defect`` of the squares map
+  on the same arrangement (the map built untimed): one dot product per
+  (generator, hyperplane), image hyperplanes from the generator rows
 
 Each stage reads the ones before it, already computed.  The generators
 are those of ``catalog.build``.
@@ -27,6 +31,7 @@ from reflarr.arrangement import Arrangement
 from reflarr.catalog import GroupSpec, build
 from reflarr.kappa import a_indices
 from reflarr.matgroup import GroupModel
+from reflarr.quadmap import build_phi, equivariance_defect
 
 GROUPS = (
     ("B4", GroupSpec.coxeter("B", 4), 10_000, 20),
@@ -34,7 +39,7 @@ GROUPS = (
     ("G(6,1,4)", GroupSpec.imprimitive(6, 1, 4), 40_000, 3),
 )
 STAGES = ("generate", "inverses", "classes", "reflections", "root_lines",
-          "a_indices", "irreducibility")
+          "a_indices", "irreducibility", "equivariance")
 
 
 def _stages(gens, bound) -> list:
@@ -53,12 +58,15 @@ def _stages(gens, bound) -> list:
     t5 = clock()
     a_indices(g, Arrangement.from_group(g))
     t6 = clock()
-    g.invariant_hermitian_form
     arr = Arrangement.from_group(g)
     t7 = clock()
     arr.irreducibility()
     t8 = clock()
-    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5, t8 - t7]
+    p = build_phi(arr)
+    t9 = clock()
+    equivariance_defect(p, g)
+    t10 = clock()
+    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5, t8 - t7, t10 - t9]
 
 
 def main() -> None:

@@ -14,7 +14,9 @@ Eigenvalues on fixed root lines are class invariants, so kappa and chi_n
 (through the per-class fixed-line counts) read one row per conjugacy
 class; the Coxeter sign model and monodromy read the rows they need,
 and the orbits are those of the generator permutations.  Essentiality
-and irreducibility are computed once per arrangement.
+and irreducibility are computed once per arrangement.  The root graph
+needs no form: r_j is orthogonal to r_i exactly when the reflection of
+H_i fixes r_j, so it is read from one reflection row per orbit.
 
 A flat of the intersection lattice is the intersection of the
 hyperplanes that contain it, so it is stored as the integer bitmask of
@@ -33,6 +35,7 @@ from .cyclo import CycNum
 from .linalg import (
     Matrix,
     dot,
+    hermitian_product,
     normalize_first_nonzero,
     proportionality,
     rank,
@@ -66,7 +69,7 @@ class Arrangement:
 
     @property
     def form(self) -> Matrix:
-        """The hermitian form used for roots and orthogonality."""
+        """The hermitian form the roots are orthogonal under."""
         if self._form is not None:
             return self._form
         if self.group is not None:
@@ -220,17 +223,7 @@ class Arrangement:
         if self.group is None:
             return tuple((i,) for i in range(len(self)))
         perms = self.generator_rows.perms
-        seen, orbits = set(), []
-        for i in range(len(self)):
-            if i not in seen:
-                orbit = [i]
-                seen.add(i)
-                for j in orbit:  # the orbit grows while walked: breadth first
-                    new = {p[j] for p in perms} - seen
-                    seen |= new
-                    orbit += new
-                orbits.append(tuple(sorted(orbit)))
-        return tuple(orbits)  # disjoint, so ordered by least index
+        return tuple(map(tuple, _components(len(self), lambda j: {p[j] for p in perms})))
 
     # -- essentiality and irreducibility -----------------------------
 
@@ -242,14 +235,34 @@ class Arrangement:
         return rank([list(h.alpha) for h in self.hyperplanes]) == self.dim
 
     @cached_property
-    def _pairing(self) -> tuple:
-        """(conj(r_i), F r_i) per hyperplane, so (r_i|r_j) = conj(r_i) . F r_j."""
-        roots, f = [h.root for h in self.hyperplanes], self.form
-        return [tuple(x.conjugate() for x in r) for r in roots], [f.matvec(r) for r in roots]
+    def _neighbours(self) -> tuple:
+        """Per hyperplane i, the j with (r_i|r_j) != 0 (i among them).
+
+        For a group, r_j lies on H_i, so is orthogonal to r_i, exactly
+        when the reflection of H_i fixes r_j: the neighbours are the lines
+        its row moves or scales, read once per orbit and carried to the
+        rest of the orbit by the generator permutations.  A standalone
+        arrangement pairs its roots with :attr:`form`.
+        """
+        if self.group is None:
+            f, roots = self.form, [h.root for h in self.hyperplanes]
+            return tuple(frozenset(j for j, v in enumerate(roots)
+                                   if not hermitian_product(f, u, v).is_zero()) for u in roots)
+        perms, out = self.generator_rows.perms, {}
+        for i in range(len(self)):
+            if i not in out:  # the least index of a new orbit
+                perm, exps = self.row(self.hyperplanes[i].distinguished_reflection)
+                out[i] = frozenset(j for j, (k, e) in enumerate(zip(perm, exps)) if k != j or e)
+                queue = [i]
+                for x in queue:  # grows while walked: the orbit of i, breadth first
+                    for p in perms:
+                        if p[x] not in out:
+                            out[p[x]] = frozenset(p[j] for j in out[x])
+                            queue.append(p[x])
+        return tuple(out[i] for i in range(len(self)))
 
     def root_orthogonal(self, i: int, j: int) -> bool:
-        conj, images = self._pairing
-        return dot(conj[i], images[j]).is_zero()
+        return j not in self._neighbours[i]
 
     def greedy_connected_basis(self) -> list[int]:
         """Grow a connected, linearly independent set of roots greedily.
@@ -295,23 +308,7 @@ class Arrangement:
 
     def connected_components(self) -> list[list[int]]:
         """Components of the non-orthogonality graph on all roots."""
-        n = len(self)
-        seen = [False] * n
-        comps = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in range(n):
-                    if not seen[j] and not self.root_orthogonal(i, j):
-                        seen[j] = True
-                        stack.append(j)
-            comps.append(sorted(comp))
-        return comps
+        return _components(len(self), self._neighbours.__getitem__)
 
     def sub(self, indices) -> "Arrangement":
         """The hyperplanes at indices, tied to the same group and form."""
@@ -378,6 +375,22 @@ class Arrangement:
         for (r, _), m in zip(lattice, mu):
             poly[r] += m * (-1) ** r
         return poly
+
+
+def _components(n: int, step) -> list:
+    """The classes of range(n) under i ~ j for j in step(i), each sorted,
+    ordered by least index."""
+    seen, out = set(), []
+    for i in range(n):
+        if i not in seen:
+            comp = [i]
+            seen.add(i)
+            for j in comp:  # comp grows while walked: breadth first
+                new = step(j) - seen
+                seen |= new
+                comp += new
+            out.append(sorted(comp))
+    return out
 
 
 def _span_mask(rows, pivots, alphas, known: int) -> int:

@@ -135,7 +135,7 @@ def _chi_checks(built, seed, add):
     detail = "chi_n = c_n o chi_1" if failure is None else f"fails at n = {failure}"
     add("galois", failure is None, detail)
     if built.spec.kind == "exceptional" and built.spec.st == 4:
-        add("g4_table", g4_table_check(), "six rows")
+        add("g4_table", g4_table_check(built), "six rows")
 
 
 def _monodromy_checks(built, seed, add):

@@ -16,9 +16,10 @@ canonical by construction and go through one raw constructor,
 :func:`_make`, which fills the three slots without copying or checking.
 Most operands in this package are rational, so ``*`` runs the cyclic
 convolution only when both operands are irrational: an ``int`` operand,
-a zero or a rational one scales the other operand's numerators, and
-``+``/``-`` return the other operand for a zero one and skip the lcm of
-equal denominators.  Every path gives the same canonical
+a zero or a rational one scales the other operand's numerators (a
+rational +-1 returns it or its plain negation), and ``+``/``-`` return
+the other operand for a zero one and skip the lcm of equal
+denominators.  Every path gives the same canonical
 ``(order, num, den)`` as the convolution would.
 
 Orders stay small here (m <= 24 for every built-in group), so the
@@ -243,6 +244,8 @@ class CycNum:
             return _make(m, (0,) * m, 1)
         if a.order != m:
             a = a.lift(m)
+        if b.den == 1 and (q == 1 or q == -1):  # a unit: a canonical a stays canonical
+            return a if q == 1 else _make(m, tuple([-c for c in a.num]), a.den)
         return _scaled(m, a.num, a.den, q, b.den)
 
     def __rmul__(self, other):

@@ -2,9 +2,11 @@
 
 Sends the basis vector of a hyperplane H to alpha_H^2 inside S^2 V*;
 surjectivity is decided by exact rank, and W-equivariance of a given
-scaling of the alpha_H is reported as a defect list.  Includes the
-orbit-transported construction that makes the map equivariant for the
-real (Coxeter) catalog groups.
+scaling of the alpha_H is reported as a defect list.  Each generator's
+image hyperplanes are read from the arrangement's generator rows, so
+the check is one dot product per (generator, hyperplane) and inverts
+no matrix.  Includes the orbit-transported construction that makes the
+map equivariant for the real (Coxeter) catalog groups.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from .arrangement import Arrangement
 from .catalog import BuiltGroup
 from .cyclo import CycNum
-from .linalg import normalize_first_nonzero, proportionality, rank
+from .linalg import dot, proportionality, rank
 from .matgroup import GroupModel
 
 
@@ -55,7 +57,8 @@ class PhiMap:
 
 
 def build_phi(a: Arrangement, alphas=None) -> PhiMap:
-    """Assemble the squares map from the stored (or given) linear forms."""
+    """Assemble the squares map from the stored (or given) linear forms;
+    a given form must be a nonzero multiple of its hyperplane's."""
     if not a.is_essential():
         raise ValueError("the squares map is defined for essential arrangements")
     if alphas is None:
@@ -64,6 +67,9 @@ def build_phi(a: Arrangement, alphas=None) -> PhiMap:
         alphas = tuple(tuple(x for x in al) for al in alphas)
         if len(alphas) != len(a.hyperplanes):
             raise ValueError("one linear form per hyperplane required")
+        for i, (al, h) in enumerate(zip(alphas, a.hyperplanes)):
+            if proportionality(h.alpha, al) is None:  # None for a zero form too
+                raise ValueError(f"form {i} is not a nonzero multiple of hyperplane {i}'s form")
     columns = tuple(square_form(al) for al in alphas)
     return PhiMap(arrangement=a, alphas=alphas, columns=columns)
 
@@ -87,25 +93,20 @@ def equivariance_defect(p: PhiMap, g: GroupModel) -> EquivarianceReport:
     """Where the current scalings fail w.alpha_H^2 = alpha_{w(H)}^2.
 
     Checked on generators (sufficient for the whole group).  The dual
-    action is w.alpha = alpha o w^-1; the image's hyperplane is looked up
-    by its normalized form, the first of equal ones winning.
+    action is w.alpha = alpha o w^-1, and w(H_i) = H_j is read from the
+    generator rows.  From w.alpha_i = lam alpha_j, alpha_i = lam (alpha_j o w),
+    so at a nonzero coordinate t of alpha_i, lam^2 = 1 iff
+    (alpha_j . w[:, t])^2 = alpha_i[t]^2: one dot product per pair.
     """
-    index = {}
-    for j, alpha in enumerate(p.alphas):
-        key = normalize_first_nonzero(alpha)
-        if key is not None:
-            index.setdefault(key, j)
+    perms = p.arrangement.action_of(g).perms
+    # (t, alpha_i[t]^2) at the first nonzero coordinate t of each alpha_i
+    leads = [next((t, x * x) for t, x in enumerate(al) if not x.is_zero()) for al in p.alphas]
     violations = []
     for gi, gen in enumerate(g.generators):
-        winv_t = gen.inverse().transpose()
-        for i, alpha in enumerate(p.alphas):
-            beta = winv_t.matvec(alpha)
-            j = index.get(normalize_first_nonzero(beta))
-            if j is None:
-                violations.append((gi, i))
-                continue
-            lam = proportionality(beta, p.alphas[j])
-            if not (lam * lam == CycNum.one()):
+        columns = tuple(zip(*gen.rows))
+        for i, (t, square) in enumerate(leads):
+            x = dot(p.alphas[perms[gi][i]], columns[t])
+            if x * x != square:
                 violations.append((gi, i))
     zero = all(x.is_zero() for x in p.sum_of_squares())
     return EquivarianceReport(violations=tuple(violations), sum_of_squares_zero=zero)

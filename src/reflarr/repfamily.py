@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arrangement import Arrangement
-from .catalog import BuiltGroup, GroupSpec, build
+from .catalog import BuiltGroup, GroupSpec
 from .cyclo import CycNum
 from .kappa import a_indices
 from .linalg import Matrix, dot, proportionality, rewrite
@@ -230,15 +230,17 @@ def coxeter_sign_model(built: BuiltGroup) -> SignModelRep:
     return SignModelRep(built=built, matrices=mats)
 
 
-def g4_table_check() -> bool:
-    """The full decomposition table of the smallest exceptional group.
+def g4_table_check(built: BuiltGroup) -> bool:
+    """The full decomposition table of the smallest exceptional group,
+    on the caller's build of it.
 
     Linear characters S_a (a a cube root of unity) come from the
     determinant; A_{j^2} is the reflection character, A_a its twists,
     and U the nontrivial constituent of the permutation character.
     All six rows of the period are verified as exact identities.
     """
-    built = build(GroupSpec.exceptional(4))
+    if built.spec != GroupSpec.exceptional(4):
+        raise ValueError(f"the G4 table does not apply to {built.label}")
     g, arr = built.group, built.arrangement
     det = matrix_character(g, lambda w: w.det())
     refl = matrix_character(g, lambda w: w.trace())

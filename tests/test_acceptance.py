@@ -197,7 +197,7 @@ def test_hyperplane_count_bound(cat):
 
 def test_smallest_exceptional_decomposition_table(cat):
     t0 = time.monotonic()
-    assert g4_table_check()
+    assert g4_table_check(cat["G4"])
     g, arr = cat["G4"].group, cat["G4"].arrangement
     u = chi(g, arr, 0) - trivial_character(g)
     assert inner_product(u, u) == CycNum.one()

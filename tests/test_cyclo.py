@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -351,6 +352,20 @@ class TestFastPaths:
                     if c:
                         inverse = CycNum.rational(1 / Fraction(c))
                         self._check(x / c, self._reference("*", x, inverse))
+
+    @pytest.mark.parametrize("unit", [1, -1])
+    def test_unit_factor_matches_scaled(self, unit):
+        # +-1 * x returns x or its plain negation: the triple and hash of
+        # _scaled's renormalized product, at one order and across orders
+        rng = random.Random(14)
+        for m, k in itertools.product((1, 3, 8), repeat=2):
+            u, n = CycNum.rational(unit).lift(k), lcm(m, k)
+            for x in self._operands(m, rng):
+                y = x.lift(n)
+                ref = cyclo._scaled(n, y.num, y.den, unit, 1)
+                for got in (u * x, x * u):
+                    assert (got.order, got.num, got.den) == (ref.order, ref.num, ref.den)
+                    assert got == ref and hash(got) == hash(ref)
 
     def test_results_skip_the_reduction(self, monkeypatch):
         calls = []

@@ -1,8 +1,9 @@
 import pytest
 
 from reflarr.arrangement import Arrangement
-from reflarr.catalog import GroupSpec, build
+from reflarr.catalog import GroupSpec, build, g12_vector_table
 from reflarr.cyclo import CycNum
+from reflarr.linalg import normalize_first_nonzero, proportionality
 from reflarr.matgroup import GroupModel
 from reflarr.quadmap import (
     build_phi,
@@ -12,6 +13,56 @@ from reflarr.quadmap import (
     is_surjective,
     square_form,
 )
+from test_root_action import GROUPS
+
+
+def _lookup_violations(p, g):
+    """Equivariance defects by the matrix path: w.alpha = (w^-1)^T alpha,
+    its hyperplane looked up by the normalized form, the scalar found by
+    proportionality."""
+    index = {}
+    for j, alpha in enumerate(p.alphas):
+        index.setdefault(normalize_first_nonzero(alpha), j)
+    violations = []
+    for gi, gen in enumerate(g.generators):
+        winv_t = gen.inverse().transpose()
+        for i, alpha in enumerate(p.alphas):
+            beta = winv_t.matvec(alpha)
+            j = index.get(normalize_first_nonzero(beta))
+            lam = None if j is None else proportionality(beta, p.alphas[j])
+            if lam is None or lam * lam != CycNum.one():
+                violations.append((gi, i))
+    return tuple(violations)
+
+
+def _g12_published_forms(g12):
+    """The forms (v | .) of the published G12 vectors, in hyperplane order."""
+    arr = g12.arrangement
+    f = g12.group.invariant_hermitian_form
+    ordered = [None] * len(arr)
+    for vec in g12_vector_table().values():
+        conj = tuple(x.conjugate() for x in vec)
+        alpha = tuple(f.transpose().matvec(conj))
+        js = [
+            j
+            for j, h in enumerate(arr.hyperplanes)
+            if proportionality(alpha, h.alpha) is not None
+        ]
+        assert len(js) == 1  # each vector spans a genuine root line
+        ordered[js[0]] = alpha
+    assert all(a is not None for a in ordered)
+    return ordered
+
+
+COXETER_SPECS = [
+    GroupSpec.coxeter("A", 2),
+    GroupSpec.coxeter("A", 3),
+    GroupSpec.coxeter("B", 2),
+    GroupSpec.coxeter("B", 3),
+    GroupSpec.coxeter("D", 3),
+    GroupSpec.coxeter("I2", 4),
+    GroupSpec.coxeter("I2", 6),
+]
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +110,13 @@ class TestBuild:
     def test_wrong_alpha_count_rejected(self, g4):
         with pytest.raises(ValueError):
             build_phi(g4.arrangement, [(CycNum.one(), CycNum.zero())])
+
+    @pytest.mark.parametrize("bad", ["other", "zero"])
+    def test_form_off_its_hyperplane_rejected(self, g4, bad):
+        alphas = [h.alpha for h in g4.arrangement.hyperplanes]
+        alphas[2] = alphas[1] if bad == "other" else (CycNum.zero(),) * 2
+        with pytest.raises(ValueError, match="form 2 is not a nonzero multiple of hyperplane 2"):
+            build_phi(g4.arrangement, alphas)
 
 
 class TestSurjectivity:
@@ -126,39 +184,11 @@ class TestEquivariance:
         assert rep.violations
 
     def test_g12_published_vectors_equivariant(self, g12):
-        from reflarr.catalog import g12_vector_table
-        from reflarr.linalg import proportionality
-
-        arr = g12.arrangement
-        f = g12.group.invariant_hermitian_form
-        ordered = [None] * len(arr)
-        for vec in g12_vector_table().values():
-            conj = tuple(x.conjugate() for x in vec)
-            alpha = tuple(f.transpose().matvec(conj))
-            js = [
-                j
-                for j, h in enumerate(arr.hyperplanes)
-                if proportionality(alpha, h.alpha) is not None
-            ]
-            assert len(js) == 1  # each vector spans a genuine root line
-            ordered[js[0]] = alpha
-        assert all(a is not None for a in ordered)
-        rep = equivariance_defect(build_phi(arr, ordered), g12.group)
+        rep = equivariance_defect(build_phi(g12.arrangement, _g12_published_forms(g12)), g12.group)
         assert rep.equivariant
         assert rep.sum_of_squares_zero
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            GroupSpec.coxeter("A", 2),
-            GroupSpec.coxeter("A", 3),
-            GroupSpec.coxeter("B", 2),
-            GroupSpec.coxeter("B", 3),
-            GroupSpec.coxeter("D", 3),
-            GroupSpec.coxeter("I2", 4),
-            GroupSpec.coxeter("I2", 6),
-        ],
-    )
+    @pytest.mark.parametrize("spec", COXETER_SPECS)
     def test_coxeter_construction_equivariant(self, spec):
         built = build(spec)
         alphas = coxeter_equivariant_forms(built)
@@ -178,3 +208,35 @@ class TestEquivariance:
     def test_g12_rejected_from_coxeter_path(self, g12):
         with pytest.raises(ValueError):
             coxeter_equivariant_forms(g12)
+
+
+class TestEquivarianceMatchesLookup:
+    """The row-based check against the matrix path, violation by violation."""
+
+    @staticmethod
+    def _same(p, g):
+        rep = equivariance_defect(p, g)
+        assert rep.violations == _lookup_violations(p, g)
+        return rep
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_default_forms(self, name):
+        g, arr = GROUPS[name]()
+        self._same(build_phi(arr), g)
+
+    @pytest.mark.parametrize("powers", [(0, 1, 2, 0), (1, 1, 1, 1), (2, 0, 1, 2), (0, 0, 0, 1)])
+    def test_g4_rescalings(self, g4, powers):
+        z = CycNum.zeta(3)
+        alphas = [tuple(z**k * x for x in h.alpha)
+                  for k, h in zip(powers, g4.arrangement.hyperplanes)]
+        assert self._same(build_phi(g4.arrangement, alphas), g4.group).violations
+
+    def test_g12_published_vectors(self, g12):
+        p = build_phi(g12.arrangement, _g12_published_forms(g12))
+        assert self._same(p, g12.group).equivariant
+
+    @pytest.mark.parametrize("spec", COXETER_SPECS)
+    def test_coxeter_forms(self, spec):
+        built = build(spec)
+        p = build_phi(built.arrangement, coxeter_equivariant_forms(built))
+        assert self._same(p, built.group).equivariant

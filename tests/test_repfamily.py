@@ -439,8 +439,12 @@ class TestSignModel:
 
 
 class TestG4Table:
-    def test_full_table(self):
-        assert g4_table_check()
+    def test_full_table(self, g4):
+        assert g4_table_check(g4)
+
+    def test_other_groups_refused(self):
+        with pytest.raises(ValueError, match="does not apply"):
+            g4_table_check(build(GroupSpec.exceptional(12)))
 
     def test_u_is_three_dimensional(self, g4):
         g = g4.group

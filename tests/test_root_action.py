@@ -18,6 +18,7 @@ import pytest
 
 from reflarr.arrangement import Arrangement
 from reflarr.catalog import GroupSpec, _monomial_generators, build
+from reflarr.cli import _phi_section
 from reflarr.cyclo import CycNum
 from reflarr.kappa import a_indices
 from reflarr.linalg import Matrix, dot, hermitian_product, nullspace, proportionality, rank
@@ -179,6 +180,18 @@ def test_greedy_basis_matches_full_scan(name):
     assert verdict.certificate == (tuple(basis) if verdict.irreducible else None)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec.coxeter("B", 4), GroupSpec.coxeter("D", 4), GroupSpec.imprimitive(3, 1, 3)],
+)
+def test_root_graph_and_phi_section_build_no_form(spec):
+    # the root graph and the equivariance check read rows, not the form
+    built = build(spec)
+    assert built.arrangement.irreducibility().irreducible
+    _phi_section(built)
+    assert "invariant_hermitian_form" not in built.group.__dict__
+
+
 def test_unstable_sub_arrangement_is_refused():
     g, arr = GROUPS["B4"]()
     assert len(arr.orbits) == 2
@@ -186,6 +199,11 @@ def test_unstable_sub_arrangement_is_refused():
     for read in (lambda: part.row(1), lambda: part.orbits, lambda: a_indices(g, part)):
         with pytest.raises(ArithmeticError, match="does not permute the arrangement"):
             read()
+    # an essential part that is no union of orbits: the root graph refuses it
+    rest = arr.sub(range(1, len(arr)))
+    assert rest.is_essential()
+    with pytest.raises(ArithmeticError, match="does not permute the arrangement"):
+        rest.irreducibility()
     # an orbit is stable, and the orbits together realize every order
     per_orbit = [a_indices(g, arr.sub(orbit)).indices for orbit in arr.orbits]
     assert set().union(*per_orbit) == set(a_indices(g, arr).indices)
