@@ -68,7 +68,8 @@ def build_phi(a: Arrangement, alphas=None) -> PhiMap:
         if len(alphas) != len(a.hyperplanes):
             raise ValueError("one linear form per hyperplane required")
         for i, (al, h) in enumerate(zip(alphas, a.hyperplanes)):
-            if proportionality(h.alpha, al) is None:  # None for a zero form too
+            # proportionality zips, so check the length; None for a zero form
+            if len(al) != a.dim or proportionality(h.alpha, al) is None:
                 raise ValueError(f"form {i} is not a nonzero multiple of hyperplane {i}'s form")
     columns = tuple(square_form(al) for al in alphas)
     return PhiMap(arrangement=a, alphas=alphas, columns=columns)

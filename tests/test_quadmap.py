@@ -111,10 +111,11 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_phi(g4.arrangement, [(CycNum.one(), CycNum.zero())])
 
-    @pytest.mark.parametrize("bad", ["other", "zero"])
+    @pytest.mark.parametrize("bad", ["other", "zero", "long"])
     def test_form_off_its_hyperplane_rejected(self, g4, bad):
         alphas = [h.alpha for h in g4.arrangement.hyperplanes]
-        alphas[2] = alphas[1] if bad == "other" else (CycNum.zero(),) * 2
+        alphas[2] = {"other": alphas[1], "zero": (CycNum.zero(),) * 2,
+                     "long": alphas[2] + (CycNum.one(),)}[bad]
         with pytest.raises(ValueError, match="form 2 is not a nonzero multiple of hyperplane 2"):
             build_phi(g4.arrangement, alphas)
 
