@@ -1,12 +1,17 @@
 """Time the group and arrangement stages, one at a time.
 
-For B4, G(6,1,3) and G(6,1,4), reports the minimum over repeated runs
-of each stage on a freshly generated group:
+For B4, G(6,1,3), G(6,1,4) and G(5,1,4), reports the minimum over
+repeated runs of each stage on a freshly generated group:
 
-- ``generate``: the closure on line data, ``GroupModel.generate``
-- ``inverses``: each element's inverse, from its codes
+- ``generate``: the closure on line data, ``GroupModel.generate``: one
+  ``bytes.translate`` per product, or a tuple gather for G(5,1,4),
+  whose K L = 340 values do not fit a byte
+- ``inverses``: each element's inverse, by inverting its stored code
+  (that of the element's inverse) and looking the result up
 - ``classes``: the conjugacy classes, from the table and the inverses
-- ``reflections``: the reflection test and each reflection's data
+- ``reflections``: the reflection test, eigenvalue and order once per
+  class, each root from the closure line it scales, and each
+  hyperplane's linear form once
 - ``root_lines``: the orbit-transported roots and the generator rows
 - ``a_indices``: ``Arrangement.from_group`` plus ``kappa.a_indices``,
   which composes one root-line row per conjugacy class
@@ -37,6 +42,7 @@ GROUPS = (
     ("B4", GroupSpec.coxeter("B", 4), 10_000, 20),
     ("G(6,1,3)", GroupSpec.imprimitive(6, 1, 3), 10_000, 10),
     ("G(6,1,4)", GroupSpec.imprimitive(6, 1, 4), 40_000, 3),
+    ("G(5,1,4)", GroupSpec.imprimitive(5, 1, 4), 20_000, 3),
 )
 STAGES = ("generate", "inverses", "classes", "reflections", "root_lines",
           "a_indices", "irreducibility", "equivariance")

@@ -58,11 +58,10 @@ class Hyperplane:
 class Arrangement:
     """A central hyperplane arrangement, possibly tied to a group."""
 
-    def __init__(self, dim, hyperplanes, group: GroupModel | None = None, form=None):
+    def __init__(self, dim, hyperplanes, group: GroupModel | None = None):
         self.dim = dim
         self.hyperplanes = tuple(hyperplanes)
         self.group = group
-        self._form = form
 
     def __len__(self):
         return len(self.hyperplanes)
@@ -70,8 +69,6 @@ class Arrangement:
     @property
     def form(self) -> Matrix:
         """The hermitian form the roots are orthogonal under."""
-        if self._form is not None:
-            return self._form
         if self.group is not None:
             return self.group.invariant_hermitian_form
         return Matrix.identity(self.dim)
@@ -86,18 +83,16 @@ class Arrangement:
             by_alpha.setdefault(r.alpha, []).append(r)
         # d_H - 1 reflections share H, the distinguished one has eigenvalue
         # exp(2 pi i / d_H); by_alpha and root_lines order H alike
-        hyps = [
-            Hyperplane(
+        hyps = []
+        for (alpha, refs), root in zip(by_alpha.items(), g.root_lines[0]):
+            d = len(refs) + 1
+            z = CycNum.zeta(d)
+            hyps.append(Hyperplane(
                 alpha=alpha,
                 root=root,
-                d=len(refs) + 1,
-                distinguished_reflection=next(
-                    (r.element for r in refs if r.eigenvalue == CycNum.zeta(len(refs) + 1)),
-                    None,
-                ),
-            )
-            for (alpha, refs), root in zip(by_alpha.items(), g.root_lines[0])
-        ]
+                d=d,
+                distinguished_reflection=next((r.element for r in refs if r.eigenvalue == z), None),
+            ))
         return Arrangement(g.dim, hyps, group=g)
 
     @staticmethod
@@ -311,13 +306,8 @@ class Arrangement:
         return _components(len(self), self._neighbours.__getitem__)
 
     def sub(self, indices) -> "Arrangement":
-        """The hyperplanes at indices, tied to the same group and form."""
-        return Arrangement(
-            self.dim,
-            [self.hyperplanes[i] for i in indices],
-            group=self.group,
-            form=self._form,
-        )
+        """The hyperplanes at indices, tied to the same group."""
+        return Arrangement(self.dim, [self.hyperplanes[i] for i in indices], group=self.group)
 
     # -- Poincare polynomial -----------------------------------------
 

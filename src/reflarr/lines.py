@@ -46,17 +46,18 @@ class LineSet:
         self.roots, self.fixed, self.basis = 0, (), ()
 
     @staticmethod
-    def bootstrap(generators, k: int, bound: int) -> "LineSet":
-        """The root orbits of the reflection generators, then standard
-        basis orbits until the lines and V^W span V."""
+    def bootstrap(generators, dets, k: int, bound: int) -> "LineSet":
+        """The root orbits of the reflection generators (dets holds each
+        generator's determinant), then standard basis orbits until the
+        lines and V^W span V."""
         n = generators[0].dim
         ident = Matrix.identity(n)
         z = CycNum.zeta(k) if k % 2 == 0 else -CycNum.zeta(k, (k + 1) // 2)  # zeta_2k if k odd
         lines = LineSet(generators, tuple(z**e for e in range(lcm(2, k))), bound)
         lines.fixed = tuple(nullspace([row for s in generators for row in (s - ident).rows], n))
-        for g in generators:
+        for g, det in zip(generators, dets):
             d = g - ident  # a reflection's root spans the image of g - 1
-            if d.rank() == 1 and g.det() != CycNum.one():
+            if d.rank() == 1 and det != CycNum.one():
                 lines.close(next(c for c in zip(*d.rows) if any(not x.is_zero() for x in c)))
         lines.roots = len(lines.vectors)
         rows, basis = list(lines.fixed), []

@@ -7,20 +7,26 @@ do not span V.  An element w is then the
 pair (p, e) with w v_i = zeta_K^e(i) v_p(i), K = lcm(2, k) for the
 field Q(zeta_k), and the pair determines w (Lehrer-Taylor, Unitary
 Reflection Groups, ch. 1-2; Holt-Eick-O'Brien, Handbook of
-Computational Group Theory, 4.1).  The breadth-first closure multiplies
-these integer pairs, x * s = (p_x o p_s, e_s + e_x o p_s), never
-matrices, and records the Cayley table (the index of x * s for every
-element x and generator s) and its spanning tree.  Products, element
-orders and the center read the table, inverses invert each pair once,
-and conjugacy classes read the table and the inverses: integers only.
+Computational Group Theory, 4.1).  Each element is stored as the code
+of its inverse, one value K p(i) + e(i) per line: since (x s)^-1 =
+s^-1 x^-1, the breadth-first closure forms x * s by mapping x's code
+value by value through one table per generator, one
+``bytes.translate`` call when every value fits a byte, never
+multiplying matrices.  It records the Cayley table (the index of x * s
+for every element x and generator s) and its spanning tree.  Products,
+element orders and the center read the table, inverses invert each
+code once, and conjugacy classes read the table and the inverses:
+integers only.
 
 Matrices exist on demand only: M_w = C_w B^-1, where B has a basis of
 lines and of V^W as columns and C_w their images under w.  The
-reflection test reads C_w - B = (w - 1) B on one element per class, and
-each reflection's hyperplane, root and eigenvalue come from the same
-columns.  Also the orbit-transported roots, the invariant hermitian
-form built from them, and parabolic fixers.  Everything exact;
-structure beyond the closure is computed lazily.
+reflection test reads C_w - B = (w - 1) B on one element per class,
+where the eigenvalue and order are read too; a reflection's root is
+the closure line it scales, when there is one, and each hyperplane's
+form comes from the same columns once.  Also the orbit-transported
+roots, the invariant hermitian form built from them, and parabolic
+fixers.  Everything exact; structure beyond the closure is computed
+lazily.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from operator import itemgetter
 
 from .cyclo import CycNum
 from .linalg import Matrix, normalize_first_nonzero, scale_vec, vec_sum
@@ -69,11 +74,9 @@ def _proportional(u, v) -> bool:
     return all(x * v[t] == y * u[t] for x, y in zip(u, v))
 
 
-def _gather(perm):
-    """x -> (x[perm[0]], x[perm[1]], ...) as a tuple."""
-    if len(perm) > 1:
-        return itemgetter(*perm)
-    return lambda x: tuple(x[j] for j in perm)
+def _gather(code, image) -> tuple:
+    """The tuple code mapped value by value through ``image``."""
+    return tuple(map(image, code))
 
 
 class GroupModel:
@@ -85,7 +88,9 @@ class GroupModel:
         self.generators = tuple(generators)
         self.lines = lines  # what the codes refer to, with the generators' rows
         # code_index: the closure's dict codes[x] -> x, in index order, with
-        # codes[x][i] = K p(i) + e(i) for elements[x] v_i = zeta_K^e(i) v_p(i)
+        # codes[x] the code of elements[x]^-1: codes[x][i] = K p(i) + e(i)
+        # for elements[x]^-1 v_i = zeta_K^e(i) v_p(i), as bytes when every
+        # value K L (L lines) fits a byte, else as a tuple of ints
         self.code_index = code_index
         self.codes = tuple(code_index)
         # table[s][x] is the index of elements[x] * generators[s]
@@ -114,10 +119,15 @@ class GroupModel:
     def generate(generators, order_bound=DEFAULT_ORDER_BOUND) -> "GroupModel":
         """Breadth-first closure on line data, in the one field Q(zeta_k)
         (k the lcm of the entries' orders).  A generator whose
-        determinant is no root of unity is refused first.  Every product
-        x * s (x an element, s a generator) is formed once, here, as
-        (p_x o p_s, e_s + e_x o p_s) on the lines, and kept in the
-        Cayley table.
+        determinant is no root of unity is refused first.
+
+        Each element x is kept by the code u_x of its inverse.  Since
+        (x s)^-1 = s^-1 x^-1, and s^-1 sends each code value K p + e on
+        its own to K pi(p) + (e + eps(p)) mod K, (pi, eps) the row of
+        s^-1, u_{x s} is u_x mapped value by value through one table
+        per generator: ``bytes.translate`` when every value K L (L
+        lines) fits a byte, else a tuple gather.  Every product x * s
+        is formed once, here, and kept in the Cayley table.
         """
         generators = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
         if not generators:
@@ -125,6 +135,7 @@ class GroupModel:
         k = lcm(*(x.order for g in generators for row in g.rows for x in row))
         generators = [Matrix([[x.lift(k) for x in row] for row in g.rows]) for g in generators]
         n = generators[0].dim
+        dets = []
         for i, g in enumerate(generators):
             if g.dim != n:
                 raise ValueError("generators of mixed dimension")
@@ -136,29 +147,33 @@ class GroupModel:
                     f"generator {i} has determinant {det!r}, not a root of unity, "
                     "so the group is infinite"
                 )
-        lines = LineSet.bootstrap(generators, k, order_bound)
-        mod = len(lines.units)
-        # x * s sends v_i to zeta_K^(e_s(i) + e_x(p_s(i))) v_{p_x(p_s(i))}:
-        # gather x's codes along p_s, then add the nonzero e_s(i)
-        steps_of = [
-            (_gather(perm), [(i, e) for i, e in enumerate(exps) if e])
-            for perm, exps in zip(lines.perms, lines.exps)
-        ]
-        ident = tuple(range(0, mod * len(lines.vectors), mod))
+            dets.append(det)
+        lines = LineSet.bootstrap(generators, dets, k, order_bound)
+        mod, size = len(lines.units), len(lines.units) * len(lines.vectors)
+        maps = []
+        for perm, exps in zip(lines.perms, lines.exps):
+            # s v_i = zeta_K^e v_j gives s^-1 v_j = zeta_K^-e v_i
+            t = [0] * size
+            for i, (j, e) in enumerate(zip(perm, exps)):
+                for f in range(mod):
+                    t[mod * j + f] = mod * i + (f - e) % mod
+            maps.append(t)
+        if size <= 256:
+            maps = [bytes(t + list(range(size, 256))) for t in maps]
+            step, kind = bytes.translate, bytes
+        else:
+            maps = [t.__getitem__ for t in maps]
+            step, kind = _gather, tuple
+        ident = kind(range(0, size, mod))
         seen = {ident: 0}
         codes = [ident]
         parents, steps = [None], [None]
         table = tuple(array("I") for _ in generators)
+        moves = tuple(zip(maps, (t.append for t in table)))
         # codes is also the breadth-first queue: it grows while walked
         for xi, x in enumerate(codes):
-            for gi, (gather, shifts) in enumerate(steps_of):
-                y = gather(x)
-                if shifts:
-                    y = list(y)
-                    for i, e in shifts:
-                        c = y[i] + e
-                        y[i] = c - mod if c % mod < e else c
-                    y = tuple(y)
+            for gi, (t, record) in enumerate(moves):
+                y = step(x, t)
                 yi = seen.get(y)
                 if yi is None:
                     yi = seen[y] = len(codes)
@@ -169,7 +184,7 @@ class GroupModel:
                         raise NotFiniteWithinBound(
                             f"closure exceeded order bound {order_bound}"
                         )
-                table[gi].append(yi)
+                record(yi)
         return GroupModel(
             generators, lines, seen, table, (tuple(parents), tuple(steps)), order_bound
         )
@@ -182,10 +197,14 @@ class GroupModel:
         cols = [self.lines.vectors[b] for b in self.lines.basis]
         return Matrix(list(zip(*cols, *self.lines.fixed))).inverse()
 
+    def _code(self, i: int):
+        """The code of elements[i] itself: the stored code of its inverse."""
+        return self.codes[self.inverses[i]]
+
     def _image(self, i: int, b: int) -> tuple:
         """w v_b for w = elements[i]."""
         units = self.lines.units
-        p, e = divmod(self.codes[i][b], len(units))
+        p, e = divmod(self._code(i)[b], len(units))
         v = self.lines.vectors[p]
         return v if e == 0 else scale_vec(units[e], v)
 
@@ -234,18 +253,21 @@ class GroupModel:
 
     @cached_property
     def inverses(self) -> tuple:
-        """Each element's inverse, once per pair (w, w^-1): w v_i = zeta_K^e v_p
-        gives w^-1 v_p = zeta_K^-e v_i, so code c at i puts K i + (-e mod K)
-        at line p = c // K, and the inverse's code is looked up in code_index."""
+        """Each element's inverse, once per pair (w, w^-1): the stored code
+        of w is that of w^-1, and inverting it gives the code of w, which
+        is stored for w^-1.  u v_i = zeta_K^e v_p gives u^-1 v_p =
+        zeta_K^-e v_i, so code value c at i puts K i + (-e mod K) at line
+        p = c // K, and the result is looked up in code_index."""
         mod, n = len(self.lines.units), len(self.lines.vectors)
         line, neg = [c // mod for c in range(mod * n)], [-c % mod for c in range(mod * n)]
         starts, index = range(0, mod * n, mod), self.code_index
+        kind = type(self.codes[0])  # bytes or tuple, as generate chose
         inv, out = [None] * self.order, [0] * n
         for x, code in enumerate(self.codes):
             if inv[x] is None:
                 for k, c in zip(starts, code):
                     out[line[c]] = k + neg[c]
-                y = index[tuple(out)]
+                y = index[kind(out)]
                 inv[x], inv[y] = y, x
         return tuple(inv)
 
@@ -297,7 +319,7 @@ class GroupModel:
         """(k, w v_b - v_b) for each line v_b of B, at column k, that
         w = elements[i] does not fix: the nonzero columns of
         C_w - B = (w - 1) B."""
-        code, mod = self.codes[i], len(self.lines.units)
+        code, mod = self._code(i), len(self.lines.units)
         out = []
         for k, b in enumerate(self.lines.basis):
             if code[b] != b * mod:
@@ -313,37 +335,56 @@ class GroupModel:
         """All reflections with their hyperplane data, by element index.
 
         D = C_w - B = (w - 1) B has the rank of w - 1, so being a
-        reflection (D of rank 1) is tested on one element per class, as
-        are the order and the eigenvalue.  A reflection's root spans
-        the columns of D; with the root r normalized at coordinate t,
-        row t of D is the c with w - 1 = r (c B^-1), so alpha is c B^-1
-        normalized and the eigenvalue is 1 + (c B^-1) r.
+        reflection (D of rank 1) is tested on one element per class, and
+        the eigenvalue and order, class invariants, are read there too.
+        A reflection scales the line of its root and no other line, so a
+        root on a closure line is the one line i with p(i) = i and
+        e(i) != 0 (in its stored code as in its own), whose normalized
+        vector is a key of ``lines.index``; any other root spans the
+        columns of D.  With the root r normalized at coordinate t, row t
+        of D is the c with w - 1 = r (c B^-1), so alpha is c B^-1
+        normalized, once per root line, and the eigenvalue is
+        1 + (c B^-1) r.
         """
+        mod, keys = len(self.lines.units), tuple(self.lines.index)  # keys in line order
         b_inv_t = self._basis_inverse.transpose()
-        per_class = {}
+        zero = CycNum.zero()
+
+        def root_of(i):
+            for j, c in enumerate(self.codes[i]):
+                if c // mod == j and c % mod:
+                    return keys[j]
+            return normalize_first_nonzero(self._moved(i)[0][1])
+
+        def form_of(i, root):  # c B^-1
+            t = next(j for j, x in enumerate(root) if not x.is_zero())
+            c = [zero] * self.dim
+            for col, d in self._moved(i):
+                c[col] = d[t]
+            return b_inv_t.matvec(c)
+
+        per_class, alphas = {}, {}  # class -> (eigenvalue, order); root -> alpha
         for k, cls in enumerate(self.classes):
             moved = [d for _, d in self._moved(cls[0])]
             if moved and all(_proportional(d, moved[0]) for d in moved[1:]):
-                per_class[k] = self.element_order(cls[0])
+                root = root_of(cls[0])
+                form = form_of(cls[0], root)
+                if root not in alphas:
+                    alphas[root] = normalize_first_nonzero(form)
+                eigenvalue = 1 + vec_sum(a * x for a, x in zip(form, root))
+                per_class[k] = eigenvalue, self.element_order(cls[0])
         raw = []
         # element-index order fixes the order of the hyperplanes
-        zero = CycNum.zero()
         for i, k in enumerate(self.class_of):
             if k not in per_class:
                 continue
-            moved = self._moved(i)
-            root = normalize_first_nonzero(moved[0][1])
-            t = next(j for j, x in enumerate(root) if not x.is_zero())
-            c = [zero] * self.dim
-            for col, d in moved:
-                c[col] = d[t]
-            form = b_inv_t.matvec(c)
+            root = root_of(i)
+            alpha = alphas.get(root)
+            if alpha is None:
+                alpha = alphas[root] = normalize_first_nonzero(form_of(i, root))
+            eigenvalue, order = per_class[k]
             raw.append(Reflection(
-                element=i,
-                eigenvalue=1 + vec_sum(a * x for a, x in zip(form, root)),
-                alpha=normalize_first_nonzero(form),
-                root=root,
-                order=per_class[k],
+                element=i, eigenvalue=eigenvalue, alpha=alpha, root=root, order=order
             ))
         return tuple(raw)
 

@@ -1,11 +1,13 @@
 """The closure on line data against a matrix-product closure.
 
-GroupModel.generate multiplies (permutation, exponent) pairs on the
-lines the generators permute and rebuilds matrices on demand.  The
+GroupModel.generate maps each element's code, its inverse's
+(permutation, exponent) pair on the lines the generators permute, one
+generator table at a time, and rebuilds matrices on demand.  The
 breadth-first closure kept here multiplies the matrices themselves, in
 the same visiting order; the tests compare the two on order, Cayley
-table, spanning tree, every rebuilt matrix, classes, reflections,
-transported roots, hyperplane order and kappa.
+table, spanning tree, every rebuilt matrix, inverses, classes,
+reflections, transported roots, hyperplane order and kappa, on groups
+whose codes are bytes and on groups whose codes are tuples.
 """
 
 from fractions import Fraction
@@ -140,6 +142,7 @@ CATALOG = [
     GroupSpec.coxeter("D", 4),
     GroupSpec.coxeter("I2", 5),
     GroupSpec.coxeter("I2", 8),
+    GroupSpec.coxeter("I2", 17),  # K L = 578: tuple codes
     GroupSpec.imprimitive(3, 1, 3),
     GroupSpec.imprimitive(2, 2, 3),
 ]
@@ -184,6 +187,24 @@ def test_rebuilt_matrices(pair):
     g, ref = pair
     assert list(g.elements) == ref.elements
     assert all(g.index[w] == i for i, w in enumerate(ref.elements))
+
+
+def test_inverses(pair):
+    g, ref = pair
+    assert all(g.inverses[i] == ref.index[w.inverse()] for i, w in enumerate(ref.elements))
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [(GroupSpec.imprimitive(6, 1, 3), bytes), (GroupSpec.coxeter("I2", 17), tuple)],
+    ids=["G(6,1,3)", "I2(17)"],
+)
+def test_code_container(spec, kind):
+    # one byte per line while every value K p + e fits a byte, else ints
+    g = build(spec).group
+    fits = len(g.lines.units) * len(g.lines.vectors) <= 256
+    assert fits == (kind is bytes)
+    assert all(type(code) is kind and len(code) == len(g.lines.vectors) for code in g.codes)
 
 
 def test_classes(pair):
