@@ -35,7 +35,6 @@ from .cyclo import CycNum
 from .linalg import (
     Matrix,
     dot,
-    hermitian_product,
     normalize_first_nonzero,
     proportionality,
     rank,
@@ -65,13 +64,6 @@ class Arrangement:
 
     def __len__(self):
         return len(self.hyperplanes)
-
-    @property
-    def form(self) -> Matrix:
-        """The hermitian form the roots are orthogonal under."""
-        if self.group is not None:
-            return self.group.invariant_hermitian_form
-        return Matrix.identity(self.dim)
 
     # -- construction ------------------------------------------------
 
@@ -237,12 +229,12 @@ class Arrangement:
         when the reflection of H_i fixes r_j: the neighbours are the lines
         its row moves or scales, read once per orbit and carried to the
         rest of the orbit by the generator permutations.  A standalone
-        arrangement pairs its roots with :attr:`form`.
+        arrangement pairs its roots by the plain product conj(u) . v.
         """
         if self.group is None:
-            f, roots = self.form, [h.root for h in self.hyperplanes]
+            roots = [h.root for h in self.hyperplanes]
             return tuple(frozenset(j for j, v in enumerate(roots)
-                                   if not hermitian_product(f, u, v).is_zero()) for u in roots)
+                                   if not dot([x.conjugate() for x in u], v).is_zero()) for u in roots)
         perms, out = self.generator_rows.perms, {}
         for i in range(len(self)):
             if i not in out:  # the least index of a new orbit

@@ -230,14 +230,14 @@ def build(spec: GroupSpec, order_bound: int = DEFAULT_ORDER_BOUND) -> BuiltGroup
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
-def _build_imprimitive(spec, d, e, r, order_bound, essential=True):
+def _build_imprimitive(spec, d, e, r, order_bound):
     if d < 1 or e < 1 or r < 1:
         raise ValueError("imprimitive parameters must be positive")
     if d * e < 2 and r < 2:
         raise ValueError("G(1,1,1) is trivial")
     gens = _monomial_generators(d * e, e, r)
     g = GroupModel.generate(gens, order_bound)
-    if d == 1 and e == 1 and essential:
+    if d == 1 and e == 1:
         # the symmetric group fixes the diagonal; restrict to the root span
         g, arr = essentialize(g)
     else:

@@ -7,17 +7,18 @@ step turns by less than pi/4.  A path is an (N, dim) array of samples;
 matrix product and takes the turns of all N - 1 steps at once (the real
 parts telescope), and only the steps whose turn reaches pi/4 are
 bisected, one at a time.  Errors keep path order: the first sample on a
-hyperplane or coarse step met while walking the path raises, as "sample
-point lies on a hyperplane", "step too coarse" (refinement off) or
-"segment cannot be refined" (a coarse step that still turns by pi/4
-after MAX_BISECTIONS halvings).
+hyperplane or unrefinable step met while walking the path raises, as
+"sample point lies on a hyperplane" or "segment cannot be refined" (a
+coarse step that still turns by pi/4 after MAX_BISECTIONS halvings).
 
-The unit alphas, the hermitian form and the group's generators are
-embedded once per arrangement (:func:`_embedded`, held weakly, so an
-arrangement carries no cache and nothing is kept alive); an element's
-matrix is the product of the embedded generators along its word.  Scope
-is rank <= 2, where full matrices stay tiny and every formula can be
-compared against the exact characters.
+The unit alphas and the group's generators are embedded once per
+arrangement (:func:`_embedded`, held weakly, so an arrangement carries
+no cache and nothing is kept alive); an element's matrix is the product
+of the embedded generators along its word.  A waypoint near H splits
+the basepoint along H's root, the reflection's eigenline, so no
+invariant hermitian form is built.  Scope is rank <= 2, where full
+matrices stay tiny and every formula can be compared against the exact
+characters.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import cmath
 import random
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +38,6 @@ MAX_STEP_ARG = cmath.pi / 4
 MAX_BISECTIONS = 48
 
 _ON_HYPERPLANE = "sample point lies on a hyperplane"
-_TOO_COARSE = "step too coarse: argument change >= pi/4; refine the path"
 _CROSSING = "segment cannot be refined; it crosses a hyperplane"
 
 
@@ -46,14 +46,12 @@ class PathTrace:
     samples: np.ndarray  # (N, dim) refined points, complex
     integrals: np.ndarray  # per hyperplane, continuous-branch value
     endpoint_element: int | None = None
-    basepoint: np.ndarray | None = field(default=None, repr=False)
 
 
 class _Embedded(NamedTuple):
     """One arrangement's exact data in complex doubles, read-only."""
 
     alphas: np.ndarray  # rows: alpha_H scaled to unit norm
-    form: np.ndarray  # the hermitian form
     generators: tuple  # the group's generators, () without a group
 
 
@@ -78,7 +76,6 @@ def _embedded(a: Arrangement) -> _Embedded:
         gens = a.group.generators if a.group is not None else ()
         emb = _EMBEDDED[a] = _Embedded(
             _frozen(alphas),
-            _frozen(a.form.embed()),
             tuple(_frozen(s.embed()) for s in gens),
         )
     return emb
@@ -131,20 +128,16 @@ def _bisect(alphas: np.ndarray, lo, hi, vals_lo):
 
 
 def integrate_path(
-    a: Arrangement,
-    samples,
-    endpoint_element: int | None = None,
-    refine: bool = True,
+    a: Arrangement, samples, endpoint_element: int | None = None
 ) -> PathTrace:
     """Per-hyperplane integral of d(alpha)/alpha along the polyline.
 
     Each step contributes log(alpha(next)/alpha(prev)) on the principal
     branch.  The real parts telescope to log|alpha(end)/alpha(start)|;
     the turns (imaginary parts) of all steps are taken in one array
-    pass.  Steps that turn by pi/4 or more are bisected when refine is
-    on, rejected otherwise; one that cannot be refined within the
-    bisection budget crosses a hyperplane.  The first fault in path
-    order raises.
+    pass.  Steps that turn by pi/4 or more are bisected; one that cannot
+    be refined within the bisection budget crosses a hyperplane.  The
+    first fault in path order raises.
     """
     pts = np.asarray(samples, dtype=complex)
     if len(pts) < 2:
@@ -158,8 +151,6 @@ def integrate_path(
         raise ValueError(_ON_HYPERPLANE)
     turns = np.angle(vals[1 : stop + 1] / vals[:stop])
     coarse = np.flatnonzero(np.max(np.abs(turns), axis=1) >= MAX_STEP_ARG)
-    if coarse.size and not refine:
-        raise ValueError(_TOO_COARSE)
     turns[coarse] = 0
     total = turns.sum(axis=0)
     pieces, done = [], 0
@@ -176,7 +167,6 @@ def integrate_path(
         samples=pts,
         integrals=np.log(np.abs(vals[-1] / vals[0])) + 1j * total,
         endpoint_element=endpoint_element,
-        basepoint=pts[0],
     )
 
 
@@ -187,7 +177,6 @@ def concatenate(a: Arrangement, first: PathTrace, second: PathTrace) -> PathTrac
         samples=np.concatenate([first.samples, second.samples[1:]]),
         integrals=first.integrals + second.integrals,
         endpoint_element=None,
-        basepoint=first.basepoint,
     )
 
 
@@ -216,52 +205,45 @@ def monodromy_trace(a: Arrangement, trace: PathTrace, h: complex) -> complex:
 
 def default_basepoint(a: Arrangement, seed: int = 0) -> np.ndarray:
     """A reproducible rational-coordinate regular point, chosen as the
-    best margin among a small pseudo-random pool."""
+    best margin (the first on a tie) among a small pseudo-random pool.
+
+    Coordinates are a/7 + i b/13 with integers a, b.  The zero vector
+    is refused, and in rank >= 2 so is a candidate whose real and
+    imaginary parts are parallel (a_i b_j = a_j b_i for all i, j): it is
+    a complex multiple of a real vector, so for a real arrangement every
+    ratio of two alphas is real on it and a straight path from it can
+    meet a hyperplane.
+    """
     alphas = _unit_alphas(a)
     rng = random.Random(seed)
-    best, best_margin = None, -1.0
-    for _ in range(64):
-        cand = np.array(
-            [
-                rng.randrange(-21, 22) / 7 + 1j * rng.randrange(-21, 22) / 13
-                for _ in range(a.dim)
-            ],
-            dtype=complex,
-        )
-        norm = np.linalg.norm(cand)
-        if norm < 1e-6:
-            continue
-        cand /= norm
-        margin = float(np.min(np.abs(alphas @ cand)))
-        if margin > best_margin:
-            best, best_margin = cand, margin
-    if best is None or best_margin <= 1e-3:
+    draws = np.array([rng.randrange(-21, 22) for _ in range(64 * 2 * a.dim)])
+    re, im = draws.reshape(64, a.dim, 2).transpose(2, 0, 1)
+    if a.dim > 1:
+        refused = np.all(re[:, :, None] * im[:, None, :] == re[:, None, :] * im[:, :, None], axis=(1, 2))
+    else:
+        refused = (re[:, 0] == 0) & (im[:, 0] == 0)
+    cands = (re / 7 + 1j * im / 13)[~refused]
+    if not len(cands):
         raise ValueError("no regular basepoint found")
-    return best
-
-
-def _hermitian_geometry(a: Arrangement, hyp_index: int):
-    fm = _embedded(a).form
-    e = np.array(
-        [x.embed() for x in a.hyperplanes[hyp_index].root], dtype=complex
-    )
-
-    def pairing(u, v):
-        return np.conj(u) @ fm @ v
-
-    return e, pairing
+    cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+    margins = np.min(np.abs(cands @ alphas.T), axis=1)
+    best = int(np.argmax(margins))
+    if margins[best] <= 1e-3:
+        raise ValueError("no regular basepoint found")
+    return cands[best]
 
 
 def _waypoint(a: Arrangement, hyp_index: int, basepoint):
-    """Decompose the basepoint across H and pick z0 = z0+ + eps z0-,
-    with eps half the distance from z0+ to the nearest other
-    hyperplane."""
+    """Split the basepoint as z = z+ + z- with z+ on H and z- on its
+    root r (the reflection's eigenline), z- = r alpha(z) / alpha(r), and
+    pick z0 = z+ + eps z-/|z-|, with eps half the distance from z+ to
+    the nearest other hyperplane."""
     z = np.asarray(basepoint, dtype=complex)
-    e, pairing = _hermitian_geometry(a, hyp_index)
-    z_minus = e * (pairing(e, z) / pairing(e, e))
+    alphas = _unit_alphas(a)
+    r = np.array([x.embed() for x in a.hyperplanes[hyp_index].root], dtype=complex)
+    z_minus = r * ((alphas[hyp_index] @ z) / (alphas[hyp_index] @ r))
     z_plus = z - z_minus
-    others = np.abs(_unit_alphas(a) @ z_plus)
-    others = np.delete(others, hyp_index)
+    others = np.delete(np.abs(alphas @ z_plus), hyp_index)
     dist = float(np.min(others)) if others.size else 1.0
     if dist <= ON_HYPERPLANE_TOL * 10:
         raise ValueError(

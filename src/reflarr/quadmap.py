@@ -5,8 +5,8 @@ surjectivity is decided by exact rank, and W-equivariance of a given
 scaling of the alpha_H is reported as a defect list.  Each generator's
 image hyperplanes are read from the arrangement's generator rows, so
 the check is one dot product per (generator, hyperplane) and inverts
-no matrix.  Includes the orbit-transported construction that makes the
-map equivariant for the real (Coxeter) catalog groups.
+no matrix.  Includes the coroot scaling that makes the map equivariant
+for the real (Coxeter) catalog groups.
 """
 
 from __future__ import annotations
@@ -114,22 +114,23 @@ def equivariance_defect(p: PhiMap, g: GroupModel) -> EquivarianceReport:
 
 
 def coxeter_equivariant_forms(built: BuiltGroup):
-    """Forms alpha_H = (e_H | .) from orbit-transported real roots.
+    """The coroots alpha_H^v = 2 alpha_H / alpha_H(r_H) of the positive
+    roots r_H.
 
-    Only the rational-root catalog Coxeter types are supported; the
-    resulting map passes the equivariance check (verified by callers,
-    not assumed).
+    W sends r_H to +-r_{w(H)} and alpha_H^v(r_H) = 2, so w.alpha_H^v =
+    +-alpha_{w(H)}^v and the squares map is equivariant (verified by
+    callers, not assumed).  Only the rational-root catalog Coxeter types
+    are supported.
     """
     if built.positive_roots is None:
         raise ValueError(
             f"{built.label} carries no real positive-root data; "
             "the equivariant construction needs a Coxeter catalog group"
         )
-    f = built.group.invariant_hermitian_form
     alphas = []
-    for root in built.positive_roots:
-        conj = tuple(x.conjugate() for x in root)
-        alphas.append(tuple(f.transpose().matvec(conj)))
+    for root, h in zip(built.positive_roots, built.arrangement.hyperplanes):
+        c = 2 * dot(h.alpha, root).inverse()
+        alphas.append(tuple(c * x for x in h.alpha))
     return tuple(alphas)
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 
 import numpy as np
@@ -53,11 +54,6 @@ class TestIntegrate:
         arr = Arrangement.from_covectors([[1]])
         tr = integrate_path(arr, _circle())
         assert abs(tr.integrals[0] - TWO_PI_I) < 1e-8
-
-    def test_coarse_step_rejected_without_refinement(self):
-        arr = Arrangement.from_covectors([[1]])
-        with pytest.raises(ValueError):
-            integrate_path(arr, _circle(steps=5), refine=False)
 
     def test_coarse_step_refined_automatically(self):
         arr = Arrangement.from_covectors([[1]])
@@ -179,22 +175,19 @@ class TestErrorPrecedence:
     def test_coarse_step_before_sample_on_hyperplane(self):
         arr = Arrangement.from_covectors([[1]])
         samples = [np.array([1.0]), np.array([1j]), np.array([0.0])]
-        with pytest.raises(ValueError, match="step too coarse"):
-            integrate_path(arr, samples, refine=False)
         with pytest.raises(ValueError, match="lies on a hyperplane"):
             integrate_path(arr, samples)
 
     def test_sample_on_hyperplane_before_coarse_step(self):
         arr = Arrangement.from_covectors([[1]])
         samples = [np.array([1.0]), np.array([0.0]), np.array([1j]), np.array([-1.0])]
-        for refine in (False, True):
-            with pytest.raises(ValueError, match="lies on a hyperplane"):
-                integrate_path(arr, samples, refine=refine)
+        with pytest.raises(ValueError, match="lies on a hyperplane"):
+            integrate_path(arr, samples)
 
     def test_first_sample_on_hyperplane(self):
         arr = Arrangement.from_covectors([[1]])
         with pytest.raises(ValueError, match="lies on a hyperplane"):
-            integrate_path(arr, [np.array([0.0]), np.array([1j])], refine=False)
+            integrate_path(arr, [np.array([0.0]), np.array([1j])])
 
     def test_crossing_cannot_be_refined(self):
         # no bisection point of this long real segment comes within the
@@ -203,6 +196,29 @@ class TestErrorPrecedence:
         samples = [np.array([1.0]), np.array([3e8]), np.array([-7e8]), np.array([0.0])]
         with pytest.raises(ValueError, match="cannot be refined"):
             integrate_path(arr, samples)
+
+
+class TestWaypoint:
+    @pytest.mark.parametrize(
+        "spec",
+        [GroupSpec.exceptional(4), GroupSpec.exceptional(12), GroupSpec.coxeter("B", 2),
+         GroupSpec.imprimitive(3, 1, 2)],
+        ids=["G4", "G12", "B2", "G(3,1,2)"],
+    )
+    def test_root_split_is_the_orthogonal_projection(self, spec):
+        # the reference: z- = e (e|z)/(e|e) under the invariant form F
+        built = build(spec)
+        arr = built.arrangement
+        f = np.array(built.group.invariant_hermitian_form.embed(), dtype=complex)
+        for seed in (0, 1, 2):
+            z = default_basepoint(arr, seed=seed)
+            for k, h in enumerate(arr.hyperplanes):
+                e = np.array([x.embed() for x in h.root], dtype=complex)
+                z_minus = e * ((e.conj() @ f @ z) / (e.conj() @ f @ e))
+                z_plus, z0_minus = monodromy._waypoint(arr, k, z)
+                assert np.allclose(z_plus, z - z_minus, rtol=0, atol=1e-12)
+                unit = z_minus / np.linalg.norm(z_minus)
+                assert np.allclose(z0_minus / np.linalg.norm(z0_minus), unit, rtol=0, atol=1e-12)
 
 
 class TestWordProduct:
@@ -360,6 +376,59 @@ class TestBasepoint:
 
         z = default_basepoint(arr, seed=0)
         assert np.min(np.abs(_unit_alphas(arr) @ z)) > 1e-3
+
+    # on these seeds the best candidate was a complex multiple of a real
+    # vector, where every alpha ratio of a real arrangement is real
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("seed", [10, 25, 32, 59, 101, 138, 145, 186])
+    def test_real_direction_refused(self, n, seed):
+        from reflarr import cli
+
+        built = build(GroupSpec.coxeter("I2", n))
+        z = default_basepoint(built.arrangement, seed=seed)
+        assert np.linalg.matrix_rank(np.array([z.real, z.imag])) == 2
+        checks = cli._run_checks(built, ("monodromy",), seed)
+        assert [c["pass"] for c in checks] == [True]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rank_one_keeps_its_real_directions(self, d):
+        # in rank 1 every point is a complex multiple of a real one
+        from reflarr import cli
+
+        built = build(GroupSpec.imprimitive(d, 1, 1))
+        checks = cli._run_checks(built, ("monodromy",), 0)
+        assert [c["pass"] for c in checks] == [True]
+
+    @staticmethod
+    def _one_at_a_time(arr, seed):
+        """The pool scored candidate by candidate, in rank >= 2: strict
+        improvement keeps the first of equal margins.  (In rank 1 every
+        unit candidate's margin is 1 up to rounding.)"""
+        from reflarr.monodromy import _unit_alphas
+
+        rng, best, best_margin = random.Random(seed), None, -1.0
+        for _ in range(64):
+            ab = [(rng.randrange(-21, 22), rng.randrange(-21, 22)) for _ in range(arr.dim)]
+            if all(a * d == b * c for (a, b), (c, d) in itertools.combinations(ab, 2)):
+                continue  # parallel real and imaginary parts, or zero
+            cand = np.array([a / 7 + 1j * b / 13 for a, b in ab])
+            cand /= np.linalg.norm(cand)
+            margin = np.min(np.abs(_unit_alphas(arr) @ cand))
+            if margin > best_margin:
+                best, best_margin = cand, margin
+        return best
+
+    @pytest.mark.parametrize(
+        "spec",
+        [GroupSpec.exceptional(4), GroupSpec.exceptional(12), GroupSpec.coxeter("I2", 6),
+         GroupSpec.coxeter("B", 3)],
+        ids=["G4", "G12", "I2(6)", "B3"],
+    )
+    def test_one_product_matches_one_at_a_time(self, spec):
+        arr = build(spec).arrangement
+        for seed in (*range(12), 10, 25):
+            z = default_basepoint(arr, seed=seed)
+            assert np.allclose(z, self._one_at_a_time(arr, seed), rtol=0, atol=1e-15)
 
     def test_no_cache_written_onto_the_arrangement(self):
         from reflarr import cli

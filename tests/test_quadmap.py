@@ -3,7 +3,7 @@ import pytest
 from reflarr.arrangement import Arrangement
 from reflarr.catalog import GroupSpec, build, g12_vector_table
 from reflarr.cyclo import CycNum
-from reflarr.linalg import normalize_first_nonzero, proportionality
+from reflarr.linalg import dot, normalize_first_nonzero, proportionality
 from reflarr.matgroup import GroupModel
 from reflarr.quadmap import (
     build_phi,
@@ -200,6 +200,33 @@ class TestEquivariance:
         # real groups keep an invariant quadratic form: the nonzero sum
         assert not rep.sum_of_squares_zero
         assert invariant_quadratic_form(p, built.group) is not None
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GroupSpec.coxeter("B", 3),
+            GroupSpec.coxeter("B", 4),
+            GroupSpec.coxeter("D", 4),
+            GroupSpec.coxeter("A", 3),
+            GroupSpec.coxeter("I2", 3),
+            GroupSpec.coxeter("I2", 4),
+            GroupSpec.coxeter("I2", 6),
+        ],
+        ids=["B3", "B4", "D4", "A3", "I2(3)", "I2(4)", "I2(6)"],
+    )
+    def test_coroots_are_the_form_duals_up_to_one_rational_per_orbit(self, spec):
+        # the reference: (r_H | .) = F^T conj(r_H), with F the invariant form
+        built = build(spec)
+        f, arr = built.group.invariant_hermitian_form, built.arrangement
+        coroots = coxeter_equivariant_forms(built)
+        scale = []
+        for root, coroot, h in zip(built.positive_roots, coroots, arr.hyperplanes):
+            assert dot(coroot, root) == CycNum.rational(2)
+            c = proportionality(f.transpose().matvec([x.conjugate() for x in root]), coroot)
+            assert c is not None and c.is_rational() and c.as_fraction() > 0
+            scale.append(c)
+        for orbit in arr.orbits:
+            assert len({scale[i] for i in orbit}) == 1, orbit
 
     def test_i2_5_rejected(self):
         built = build(GroupSpec.coxeter("I2", 5))

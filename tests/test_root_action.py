@@ -18,11 +18,13 @@ import pytest
 
 from reflarr.arrangement import Arrangement
 from reflarr.catalog import GroupSpec, _monomial_generators, build
+from reflarr import cli
 from reflarr.cli import _phi_section
 from reflarr.cyclo import CycNum
 from reflarr.kappa import a_indices
 from reflarr.linalg import Matrix, dot, hermitian_product, nullspace, proportionality, rank
 from reflarr.matgroup import GroupModel
+from reflarr.quadmap import coxeter_equivariant_forms
 from reflarr.repfamily import chi
 
 
@@ -147,10 +149,11 @@ def test_orbits_match_every_row(name):
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_root_orthogonal_matches_hermitian_product(name):
-    _, arr = GROUPS[name]()
+    g, arr = GROUPS[name]()
+    f = g.invariant_hermitian_form
     roots = [h.root for h in arr.hyperplanes]
     for i, j in itertools.product(range(len(arr)), repeat=2):
-        expect = hermitian_product(arr.form, roots[i], roots[j]).is_zero()
+        expect = hermitian_product(f, roots[i], roots[j]).is_zero()
         assert arr.root_orthogonal(i, j) == expect, (i, j)
 
 
@@ -182,14 +185,39 @@ def test_greedy_basis_matches_full_scan(name):
 
 @pytest.mark.parametrize(
     "spec",
-    [GroupSpec.coxeter("B", 4), GroupSpec.coxeter("D", 4), GroupSpec.imprimitive(3, 1, 3)],
+    [
+        GroupSpec.coxeter("B", 4),
+        GroupSpec.coxeter("D", 4),
+        GroupSpec.imprimitive(3, 1, 3),
+        GroupSpec.coxeter("B", 3),
+        GroupSpec.exceptional(4),
+        GroupSpec.exceptional(12),
+    ],
+    ids=["spec0", "spec1", "spec2", "B3", "G4", "G12"],
 )
 def test_root_graph_and_phi_section_build_no_form(spec):
-    # the root graph and the equivariance check read rows, not the form
+    # the root graph, the equivariance check, the coroot forms and the
+    # monodromy paths read rows, alphas and roots, not the form
     built = build(spec)
     assert built.arrangement.irreducibility().irreducible
     _phi_section(built)
+    if built.positive_roots is not None:
+        coxeter_equivariant_forms(built)
+    if spec.kind == "exceptional":
+        checks = cli._run_checks(built, tuple(cli.SUITES), 0)
+        assert [c["name"] for c in checks if not c["pass"]] == []
+        assert "monodromy" in [c["name"] for c in checks]
     assert "invariant_hermitian_form" not in built.group.__dict__
+
+
+def test_standalone_root_graph_pairs_by_the_plain_product():
+    # the roots conj(alpha) are (1, -i), (1, i) and (1, 0): the first two
+    # are orthogonal, though their bilinear product is 2
+    i = CycNum.zeta(4)
+    arr = Arrangement.from_covectors([[1, i], [1, -i], [1, 0]])
+    assert [j for j in range(3) if arr.root_orthogonal(0, j)] == [1]
+    assert arr.irreducibility().irreducible
+    assert not arr.sub([0, 1]).irreducibility().irreducible
 
 
 def test_unstable_sub_arrangement_is_refused():
@@ -223,7 +251,7 @@ class TestCrossGroup:
         g, arr = GROUPS["G4"]()
         part = arr.sub([0, 1])
         assert part.group is g
-        assert part.form == arr.form != Matrix.identity(2)
+        assert part.hyperplanes == arr.hyperplanes[:2]
 
     def test_class_of_is_explicit(self):
         g, _ = GROUPS["G4"]()
