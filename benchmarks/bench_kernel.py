@@ -14,8 +14,13 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+
+# the checkout's reflarr, without PYTHONPATH or an install
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from reflarr import _kernel_py
 from reflarr.cyclo import KERNEL, CycNum, cyclotomic_poly

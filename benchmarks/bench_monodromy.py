@@ -15,9 +15,14 @@ Run with:  python3 benchmarks/bench_monodromy.py
 from __future__ import annotations
 
 import cmath
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+# the checkout's reflarr, without PYTHONPATH or an install
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from reflarr import cli, monodromy
 from reflarr.catalog import GroupSpec, build

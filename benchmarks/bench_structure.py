@@ -5,22 +5,25 @@ repeated runs of each stage on a freshly generated group:
 
 - ``generate``: the closure on line data, ``GroupModel.generate``: one
   ``bytes.translate`` per product, or a tuple gather for G(5,1,4),
-  whose K L = 340 values do not fit a byte
+  whose K L = 340 values do not fit a byte; one pass, as the four
+  groups are generated by reflections
 - ``inverses``: each element's inverse, by inverting its stored code
   (that of the element's inverse) and looking the result up
 - ``classes``: the conjugacy classes, from the table and the inverses
 - ``reflections``: the reflection test, eigenvalue and order once per
   class, each root from the closure line it scales, and each
   hyperplane's linear form once
-- ``root_lines``: the orbit-transported roots and the generator rows
+- ``root_lines``: the closure line of each hyperplane, looked up by
+  its reflection's root
 - ``a_indices``: ``Arrangement.from_group`` plus ``kappa.a_indices``,
-  which composes one root-line row per conjugacy class
+  which reads one root-line row per conjugacy class from the code of
+  the class's first element
 - ``irreducibility``: the root-graph verdict on a fresh arrangement,
   read from one reflection row per orbit; the group's invariant form
   is not built
 - ``equivariance``: ``quadmap.equivariance_defect`` of the squares map
   on the same arrangement (the map built untimed): one dot product per
-  (generator, hyperplane), image hyperplanes from the generator rows
+  (generator, hyperplane), image hyperplanes from the generators' rows
 
 Each stage reads the ones before it, already computed.  The generators
 are those of ``catalog.build``.
@@ -30,7 +33,12 @@ Run with:  python3 benchmarks/bench_structure.py
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
+
+# the checkout's reflarr, without PYTHONPATH or an install
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from reflarr.arrangement import Arrangement
 from reflarr.catalog import GroupSpec, build

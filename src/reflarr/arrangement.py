@@ -5,18 +5,17 @@ Poincare polynomials.
 
 The group is closed on integer line data (:mod:`reflarr.matgroup`), and
 the arrangement reads it without matrices.  Hyperplanes, roots and
-distinguished reflections come from the group's reflections, the
-transported roots from :attr:`GroupModel.root_lines`.  The action
-w.r_H = zeta_K^e r_{w(H)} on those roots is kept per generator
-(:attr:`Arrangement.generator_rows`), and an element's row is composed
-along the closure's spanning tree when asked for (:meth:`Arrangement.row`).
-Eigenvalues on fixed root lines are class invariants, so kappa and chi_n
-(through the per-class fixed-line counts) read one row per conjugacy
-class; the Coxeter sign model and monodromy read the rows they need,
-and the orbits are those of the generator permutations.  Essentiality
-and irreducibility are computed once per arrangement.  The root graph
-needs no form: r_j is orthogonal to r_i exactly when the reflection of
-H_i fixes r_j, so it is read from one reflection row per orbit.
+distinguished reflections come from the group's reflections, each
+hyperplane's root from its closure line (:attr:`GroupModel.root_lines`).
+The action w.r_H = zeta_K^e r_{w(H)} is read from w's code on those
+lines (:meth:`Arrangement.row`).  Eigenvalues on fixed root lines are
+class invariants, so kappa and chi_n (through the per-class fixed-line
+counts) read one row per conjugacy class (:attr:`Arrangement.class_rows`);
+the Coxeter sign model and monodromy read the rows they need, and the
+orbits are those of the generators' rows.  Essentiality and
+irreducibility are computed once per arrangement.  The root graph needs
+no form: r_j is orthogonal to r_i exactly when the reflection of H_i
+fixes r_j, so it is read from one reflection row per orbit.
 
 A flat of the intersection lattice is the intersection of the
 hyperplanes that contain it, so it is stored as the integer bitmask of
@@ -41,7 +40,7 @@ from .linalg import (
     rref,
     solve,
 )
-from .matgroup import GroupModel, RootAction
+from .matgroup import GroupModel
 
 POINCARE_MAX_HYPERPLANES = 12
 
@@ -76,12 +75,12 @@ class Arrangement:
         # d_H - 1 reflections share H, the distinguished one has eigenvalue
         # exp(2 pi i / d_H); by_alpha and root_lines order H alike
         hyps = []
-        for (alpha, refs), root in zip(by_alpha.items(), g.root_lines[0]):
+        for (alpha, refs), line in zip(by_alpha.items(), g.root_lines):
             d = len(refs) + 1
             z = CycNum.zeta(d)
             hyps.append(Hyperplane(
                 alpha=alpha,
-                root=root,
+                root=g.lines.vectors[line],
                 d=d,
                 distinguished_reflection=next((r.element for r in refs if r.eigenvalue == z), None),
             ))
@@ -122,59 +121,46 @@ class Arrangement:
         return None
 
     @cached_property
-    def generator_rows(self) -> RootAction:
-        """The generators' rows on this arrangement's root lines, read from
-        :attr:`GroupModel.root_lines`.  A sub-arrangement that some
-        generator does not map onto itself is refused here, so every
-        composed row is a permutation of the arrangement."""
+    def _positions(self) -> dict:
+        """The group's closure line of each hyperplane's root -> the
+        hyperplane's index.  A sub-arrangement that some generator does
+        not map onto itself is refused here, so every row is a
+        permutation of the arrangement."""
         g = self.group
         if g is None:
             raise ValueError("a standalone arrangement has no group action")
-        roots, gens = g.root_lines
-        line_of = {r: i for i, r in enumerate(roots)}
-        own = [line_of[h.root] for h in self.hyperplanes]
-        pos = {i: j for j, i in enumerate(own)}
-        if any(p[i] not in pos for p in gens.perms for i in own):
+        line_of = {g.lines.vectors[j]: j for j in g.root_lines}
+        pos = {line_of[h.root]: i for i, h in enumerate(self.hyperplanes)}
+        mod = len(g.lines.units)
+        if any(g._code(t[g.identity_index])[j] // mod not in pos for t in g.table for j in pos):
             raise ArithmeticError("group element does not permute the arrangement")
-        return RootAction(
-            tuple(tuple(pos[p[i]] for i in own) for p in gens.perms),
-            tuple(tuple(x[i] for i in own) for x in gens.exps),
-            gens.units,
-        )
+        return pos
+
+    def require_group(self, g: GroupModel) -> None:
+        """Refuse any group but the arrangement's own."""
+        if self.group is not g:
+            raise ValueError("the arrangement belongs to a different group")
 
     @property
     def units(self) -> tuple:
         """units[e] = zeta_K^e, the scalars of the rows."""
-        return self.generator_rows.units
-
-    @cached_property
-    def _rows(self) -> dict:  # element index -> row, for the rows asked for
-        return {self.group.identity_index: (tuple(range(len(self))), (0,) * len(self))}
+        return self.group.lines.units
 
     def row(self, w: int) -> tuple:
         """(perm, exps) with w.r_i = units[exps[i]] r_{perm[i]} for
-        w = elements[w].
+        w = elements[w], read from w's code on the hyperplanes' lines."""
+        return self.group._row(w, self._positions)
 
-        Composed from the generator rows along the group's spanning
-        tree, from the nearest ancestor already asked for: for w = x s,
-        w.r_i = zeta_K^(e_s(i) + e_x(s(i))) r_{x(s(i))}.  Only the rows
-        asked for (class minima, generators, monodromy endpoints) are
-        kept.
-        """
-        gens, rows = self.generator_rows, self._rows
-        parents, steps = self.group.spanning_tree
-        path, x = [], w
-        while x not in rows:
-            path.append(steps[x])
-            x = parents[x]
-        perm, exps = rows[x]
-        mod = len(gens.units)
-        for s in reversed(path):
-            s_perm = gens.perms[s]
-            perm, exps = (tuple(perm[j] for j in s_perm),
-                          tuple((e + exps[j]) % mod for j, e in zip(s_perm, gens.exps[s])))
-        rows[w] = perm, exps
-        return perm, exps
+    @cached_property
+    def generator_perms(self) -> tuple:
+        """The generators' permutations of the hyperplanes: their rows'."""
+        g = self.group
+        return tuple(self.row(t[g.identity_index])[0] for t in g.table)
+
+    @cached_property
+    def class_rows(self) -> tuple:
+        """The row of each conjugacy class's first element, in class order."""
+        return tuple(map(self.row, (cls[0] for cls in self.group.classes)))
 
     @cached_property
     def fixed_line_counts(self) -> tuple:
@@ -183,20 +169,13 @@ class Arrangement:
         fixes with scalar zeta_K^e.  They do not depend on n, so chi_n
         only sums units over them."""
         out = []
-        for cls in self.group.classes:
+        for perm, exps in self.class_rows:
             counts = [0] * len(self.units)
-            perm, exps = self.row(cls[0])
             for i, (j, e) in enumerate(zip(perm, exps)):
                 if i == j:
                     counts[e] += 1
             out.append(tuple((e, c) for e, c in enumerate(counts) if c))
         return tuple(out)
-
-    def action_of(self, g: GroupModel) -> RootAction:
-        """generator_rows, refusing any group but the arrangement's own."""
-        if self.group is not g:
-            raise ValueError("the arrangement belongs to a different group")
-        return self.generator_rows
 
     def image_hyperplane(self, w: Matrix, i: int) -> int | None:
         """w(H_i) as a hyperplane index, for a matrix w that permutes the
@@ -209,7 +188,7 @@ class Arrangement:
         orbits of the generator permutations."""
         if self.group is None:
             return tuple((i,) for i in range(len(self)))
-        perms = self.generator_rows.perms
+        perms = self.generator_perms
         return tuple(map(tuple, _components(len(self), lambda j: {p[j] for p in perms})))
 
     # -- essentiality and irreducibility -----------------------------
@@ -235,7 +214,7 @@ class Arrangement:
             roots = [h.root for h in self.hyperplanes]
             return tuple(frozenset(j for j, v in enumerate(roots)
                                    if not dot([x.conjugate() for x in u], v).is_zero()) for u in roots)
-        perms, out = self.generator_rows.perms, {}
+        perms, out = self.generator_perms, {}
         for i in range(len(self)):
             if i not in out:  # the least index of a new orbit
                 perm, exps = self.row(self.hyperplanes[i].distinguished_reflection)

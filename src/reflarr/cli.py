@@ -88,7 +88,7 @@ def _chi_section(built, n_range) -> dict:
         table[str(n)] = [_fmt_cyc(v) for v in chi(g, arr, n).values]
     return {
         "classes": [
-            {"representative": min(cls), "size": len(cls), "order": g.element_order(min(cls))}
+            {"representative": cls[0], "size": len(cls), "order": g.element_order(cls[0])}
             for cls in g.classes
         ],
         "values": table,

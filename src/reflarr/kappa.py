@@ -3,10 +3,11 @@
 For each hyperplane H and each w with w.r_H = zeta_K^e r_H the order
 K / gcd(e, K) of the scalar is recorded; kappa is the lcm of all such
 orders.  The orders do not change under conjugation, so they are read
-from one root-line row per conjugacy class (:meth:`Arrangement.row`),
-not recomputed from matrices.  The realized index set is always the full
-divisor set of kappa, there is a closed formula in the monomial family,
-and a reference table covers the exceptional types.
+from one root-line row per conjugacy class, decoded from the class's
+first element's code (:attr:`Arrangement.class_rows`), not recomputed
+from matrices.  The realized index set is always the full divisor set
+of kappa, there is a closed formula in the monomial family, and a
+reference table covers the exceptional types.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ def a_indices(g: GroupModel, a: Arrangement) -> AIndexReport:
     least element, so the class minima give the first (w, H) in index
     order.  g must be the arrangement's own group.
     """
-    mod = len(a.action_of(g).units)
+    a.require_group(g)
+    mod = len(a.units)
     orders = [mod // gcd(e, mod) for e in range(mod)]
     witnesses: dict[int, tuple[int, int]] = {}
-    for cls in g.classes:
-        perm, exps = a.row(cls[0])
+    for cls, (perm, exps) in zip(g.classes, a.class_rows):
         for hi, (j, e) in enumerate(zip(perm, exps)):
             if j == hi and orders[e] not in witnesses:
                 witnesses[orders[e]] = (cls[0], hi)

@@ -7,8 +7,11 @@ transport along the generators, w v_i = zeta_K^e v_j with K = lcm(2, k)
 lines that, together with V^W, spans V determines each element by its
 permutation and exponents; :class:`LineSet` builds one, with the
 generators' rows, and is the data :mod:`reflarr.matgroup` closes the
-group on.  A line orbit longer than the order bound, or a scalar that
-is no root of unity, shows the group is too large or infinite.
+group on.  The root orbits come first, and
+:meth:`reflarr.matgroup.GroupModel.generate` seeds every one of them,
+so each element's code holds its row on the roots.  A line orbit
+longer than the order bound, or a scalar that is no root of unity,
+shows the group is too large or infinite.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ class LineSet:
     s sends v_i to ``units[exps[s][i]] * v_{perms[s][i]}``.
 
     Grown by :meth:`close`, one seed orbit at a time.  After
-    :meth:`bootstrap`, ``vectors[:roots]`` are the orbits of the
-    reflection generators' roots, the rest standard basis orbits, added
-    while the lines and ``fixed`` (a basis of V^W) do not span V;
-    ``basis`` picks the lines that complete ``fixed`` to a basis of V.
+    :meth:`bootstrap`, ``vectors[:roots]`` are the orbits of the given
+    roots, the rest standard basis orbits, added while the lines and
+    ``fixed`` (a basis of V^W) do not span V; ``basis`` picks the lines
+    that complete ``fixed`` to a basis of V.
     """
 
     def __init__(self, generators, units, bound):
@@ -46,19 +49,16 @@ class LineSet:
         self.roots, self.fixed, self.basis = 0, (), ()
 
     @staticmethod
-    def bootstrap(generators, dets, k: int, bound: int) -> "LineSet":
-        """The root orbits of the reflection generators (dets holds each
-        generator's determinant), then standard basis orbits until the
-        lines and V^W span V."""
+    def bootstrap(generators, roots, k: int, bound: int) -> "LineSet":
+        """The orbits of the roots, in order, then standard basis orbits
+        until the lines and V^W span V."""
         n = generators[0].dim
         ident = Matrix.identity(n)
         z = CycNum.zeta(k) if k % 2 == 0 else -CycNum.zeta(k, (k + 1) // 2)  # zeta_2k if k odd
         lines = LineSet(generators, tuple(z**e for e in range(lcm(2, k))), bound)
         lines.fixed = tuple(nullspace([row for s in generators for row in (s - ident).rows], n))
-        for g, det in zip(generators, dets):
-            d = g - ident  # a reflection's root spans the image of g - 1
-            if d.rank() == 1 and det != CycNum.one():
-                lines.close(next(c for c in zip(*d.rows) if any(not x.is_zero() for x in c)))
+        for root in roots:
+            lines.close(root)
         lines.roots = len(lines.vectors)
         rows, basis = list(lines.fixed), []
 
@@ -79,15 +79,6 @@ class LineSet:
                 extend(start)
         lines.basis = tuple(basis)
         return lines
-
-    def prefix(self, n: int) -> "LineSet":
-        """The first n lines, closed under the generators, with their rows."""
-        out = LineSet(self.generators, self.units, self.bound)
-        out.vectors, out.inv_leads = self.vectors[:n], self.inv_leads[:n]
-        out.index = {key: i for key, i in self.index.items() if i < n}
-        out.perms = [p[:n] for p in self.perms]
-        out.exps = [e[:n] for e in self.exps]
-        return out
 
     def _key(self, v):
         """(v normalized, its first nonzero coordinate x, 1 / x); a unit

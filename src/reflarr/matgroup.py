@@ -3,9 +3,11 @@
 The generators permute a finite set of lines up to roots of unity
 (:class:`reflarr.lines.LineSet`): the orbits of the reflection
 generators' roots, plus standard basis orbits while those lines and V^W
-do not span V.  An element w is then the
-pair (p, e) with w v_i = zeta_K^e(i) v_p(i), K = lcm(2, k) for the
-field Q(zeta_k), and the pair determines w (Lehrer-Taylor, Unitary
+do not span V.  When some generator is no reflection and a root orbit
+is missed, the closure runs once more with that orbit seeded, so every
+root line is a closure line.  An element w is then the pair (p, e)
+with w v_i = zeta_K^e(i) v_p(i), K = lcm(2, k) for the field
+Q(zeta_k), and the pair determines w (Lehrer-Taylor, Unitary
 Reflection Groups, ch. 1-2; Holt-Eick-O'Brien, Handbook of
 Computational Group Theory, 4.1).  Each element is stored as the code
 of its inverse, one value K p(i) + e(i) per line: since (x s)^-1 =
@@ -23,10 +25,11 @@ lines and of V^W as columns and C_w their images under w.  The
 reflection test reads C_w - B = (w - 1) B on one element per class,
 where the eigenvalue and order are read too; a reflection's root is
 the closure line it scales, when there is one, and each hyperplane's
-form comes from the same columns once.  Also the orbit-transported
-roots, the invariant hermitian form built from them, and parabolic
-fixers.  Everything exact; structure beyond the closure is computed
-lazily.
+form comes from the same columns once.  The root lines are the closure
+lines of the hyperplanes, so an element's code is also its row
+w r_H = zeta_K^e r_{w(H)} on the roots.  Also the invariant hermitian
+form built from the roots, and parabolic fixers.  Everything exact;
+structure beyond the closure is computed lazily.
 """
 
 from __future__ import annotations
@@ -52,20 +55,6 @@ class Reflection:
     alpha: tuple  # linear form with kernel H, first nonzero coord 1
     root: tuple  # eigenvector for the nontrivial eigenvalue, normalized
     order: int  # order of the reflection itself
-
-
-@dataclass(frozen=True)
-class RootAction:
-    """Row k sends the line v_i to ``units[exps[k][i]] * v_{perms[k][i]}``,
-    ``units[e]`` = zeta_K^e in the group's field Q(zeta_k), K = lcm(2, k).
-    One row per generator, on the roots in :attr:`GroupModel.root_lines`
-    and on an arrangement's in :attr:`Arrangement.generator_rows`, which
-    :meth:`Arrangement.row` composes into the row of any element asked
-    for; the rows on all the closure's lines are kept in a :class:`LineSet`."""
-
-    perms: tuple
-    exps: tuple  # one sequence of exponents mod K per row
-    units: tuple
 
 
 def _proportional(u, v) -> bool:
@@ -121,13 +110,16 @@ class GroupModel:
         (k the lcm of the entries' orders).  A generator whose
         determinant is no root of unity is refused first.
 
-        Each element x is kept by the code u_x of its inverse.  Since
-        (x s)^-1 = s^-1 x^-1, and s^-1 sends each code value K p + e on
-        its own to K pi(p) + (e + eps(p)) mod K, (pi, eps) the row of
-        s^-1, u_{x s} is u_x mapped value by value through one table
-        per generator: ``bytes.translate`` when every value K L (L
-        lines) fits a byte, else a tuple gather.  Every product x * s
-        is formed once, here, and kept in the Cayley table.
+        The lines are the orbits of the reflection generators' roots,
+        plus standard basis orbits while they and V^W do not span V.
+        Every hyperplane orbit of a group generated by reflections
+        contains a generator's hyperplane (Broue-Malle-Rouquier, J. reine
+        angew. Math. 500 (1998)), so every root is then a closure line.
+        When some generator is no reflection, the reflections of that
+        closure are read and, if a root lies on none of its root-orbit
+        lines, the group is closed once more with those orbits seeded
+        after the generators' roots: the same breadth-first walk, with
+        the same element indices, table and tree.
         """
         generators = [g if isinstance(g, Matrix) else Matrix(g) for g in generators]
         if not generators:
@@ -135,7 +127,7 @@ class GroupModel:
         k = lcm(*(x.order for g in generators for row in g.rows for x in row))
         generators = [Matrix([[x.lift(k) for x in row] for row in g.rows]) for g in generators]
         n = generators[0].dim
-        dets = []
+        ident, roots = Matrix.identity(n), []
         for i, g in enumerate(generators):
             if g.dim != n:
                 raise ValueError("generators of mixed dimension")
@@ -147,8 +139,33 @@ class GroupModel:
                     f"generator {i} has determinant {det!r}, not a root of unity, "
                     "so the group is infinite"
                 )
-            dets.append(det)
-        lines = LineSet.bootstrap(generators, dets, k, order_bound)
+            d = g - ident  # a reflection's root spans the image of g - 1
+            if d.rank() == 1 and det != CycNum.one():
+                roots.append(next(c for c in zip(*d.rows) if any(not x.is_zero() for x in c)))
+        group = GroupModel._close(LineSet.bootstrap(generators, roots, k, order_bound))
+        if len(roots) < len(generators):
+            lines = group.lines
+            present = set(list(lines.index)[:lines.roots])
+            missing = [r.root for r in group.reflections if r.root not in present]
+            if missing:
+                group = GroupModel._close(
+                    LineSet.bootstrap(generators, roots + missing, k, order_bound)
+                )
+        return group
+
+    @staticmethod
+    def _close(lines: LineSet) -> "GroupModel":
+        """The breadth-first closure of lines.generators on the lines.
+
+        Each element x is kept by the code u_x of its inverse.  Since
+        (x s)^-1 = s^-1 x^-1, and s^-1 sends each code value K p + e on
+        its own to K pi(p) + (e + eps(p)) mod K, (pi, eps) the row of
+        s^-1, u_{x s} is u_x mapped value by value through one table
+        per generator: ``bytes.translate`` when every value K L (L
+        lines) fits a byte, else a tuple gather.  Every product x * s
+        is formed once, here, and kept in the Cayley table.
+        """
+        generators, order_bound = lines.generators, lines.bound
         mod, size = len(lines.units), len(lines.units) * len(lines.vectors)
         maps = []
         for perm, exps in zip(lines.perms, lines.exps):
@@ -392,41 +409,39 @@ class GroupModel:
 
     @cached_property
     def root_lines(self) -> tuple:
-        """(roots, RootAction of the generators): per reflecting hyperplane,
-        by first reflection, r_H = the normalized root at each orbit's
-        first H, then r_{s(H)} := s r_H breadth first.  With r_H = u_H r_0,
-        u_{w(H)}^-1 w u_H fixes the line of r_0, so w r_H is a root of
-        unity times r_{w(H)}.  The closure's root-orbit lines are these
-        roots already (the first H of an orbit is a generator's, when
-        one lies in it); only orbits that the generators' roots miss,
-        as when a generator is no reflection, are transported here.
-        """
-        lines = self.lines.prefix(self.lines.roots)
-        seeds = [r.root for r in self.reflections]
-        for root in seeds:
-            lines.close(root)
-        order = list(dict.fromkeys(lines.index[r] for r in seeds))  # line of each H
-        if len(order) != len(lines.vectors):
-            raise ArithmeticError("a transported root is no reflection's root")
-        pos = {line: h for h, line in enumerate(order)}
-        action = RootAction(
-            tuple(tuple(pos[p[i]] for i in order) for p in lines.perms),
-            tuple(array("I", (e[i] for i in order)) for e in lines.exps),
-            lines.units,
-        )
-        return tuple(lines.vectors[i] for i in order), action
+        """The closure line of each reflecting hyperplane, by first
+        reflection.  Its vector r_H is the root transported along the
+        generators from the first H of its orbit, so w r_H =
+        zeta_K^e r_{w(H)} with e and the line of w(H) read from w's
+        code (:meth:`_row`).  A root that is no closure line is refused."""
+        index, out = self.lines.index, {}
+        for r in self.reflections:
+            j = index.get(r.root)
+            if j is None:
+                raise ArithmeticError(f"the root of reflection {r.element} is no closure line")
+            out[j] = None
+        return tuple(out)
+
+    def _row(self, i: int, pos: dict) -> tuple:
+        """The row (perm, exps) of w = elements[i] on the closure lines
+        that pos numbers 0, 1, ... (a union of line orbits): w v_l =
+        zeta_K^e v_p, code value K p + e at the line l numbered h, gives
+        perm[h] = pos[p] and exps[h] = e."""
+        code, mod = self._code(i), len(self.lines.units)
+        values = [code[line] for line in pos]
+        return tuple(pos[c // mod] for c in values), tuple(c % mod for c in values)
 
     @cached_property
     def invariant_hermitian_form(self) -> Matrix:
         """F = M^-1, M = sum_H r_H r_H^* + sum_u u u^*, so w^* F w = F.
 
-        r_H runs over the transported roots, u over a basis of V^W; w r_H
+        r_H runs over the root lines' vectors, u over a basis of V^W; w r_H
         is a root of unity times r_{w(H)} and w u = u, so w M w^* = M.  A
         sum of v v^*, M is positive definite in every complex embedding
         when those v span V, as they do for a group generated by reflections.
         """
         n = self.dim
-        vecs = [*self.root_lines[0], *self.lines.fixed]
+        vecs = [*(self.lines.vectors[j] for j in self.root_lines), *self.lines.fixed]
         m = Matrix([[vec_sum(v[i] * v[j].conjugate() for v in vecs) for j in range(n)]
                     for i in range(n)])
         if m.det().is_zero():

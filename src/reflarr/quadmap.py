@@ -3,7 +3,7 @@
 Sends the basis vector of a hyperplane H to alpha_H^2 inside S^2 V*;
 surjectivity is decided by exact rank, and W-equivariance of a given
 scaling of the alpha_H is reported as a defect list.  Each generator's
-image hyperplanes are read from the arrangement's generator rows, so
+image hyperplanes are read from its row on the arrangement, so
 the check is one dot product per (generator, hyperplane) and inverts
 no matrix.  Includes the coroot scaling that makes the map equivariant
 for the real (Coxeter) catalog groups.
@@ -95,11 +95,12 @@ def equivariance_defect(p: PhiMap, g: GroupModel) -> EquivarianceReport:
 
     Checked on generators (sufficient for the whole group).  The dual
     action is w.alpha = alpha o w^-1, and w(H_i) = H_j is read from the
-    generator rows.  From w.alpha_i = lam alpha_j, alpha_i = lam (alpha_j o w),
+    generators' rows.  From w.alpha_i = lam alpha_j, alpha_i = lam (alpha_j o w),
     so at a nonzero coordinate t of alpha_i, lam^2 = 1 iff
     (alpha_j . w[:, t])^2 = alpha_i[t]^2: one dot product per pair.
     """
-    perms = p.arrangement.action_of(g).perms
+    p.arrangement.require_group(g)
+    perms = p.arrangement.generator_perms
     # (t, alpha_i[t]^2) at the first nonzero coordinate t of each alpha_i
     leads = [next((t, x * x) for t, x in enumerate(al) if not x.is_zero()) for al in p.alphas]
     violations = []

@@ -2,9 +2,10 @@
 
 chi_n(w) sums zeta^n over the hyperplanes whose root line is a
 w-eigenline with eigenvalue zeta = zeta_K^e: the trace of R_n(w), read
-as integer exponents from one root-line row per conjugacy class
-(:meth:`reflarr.arrangement.Arrangement.row`, counted once per class in
-:attr:`reflarr.arrangement.Arrangement.fixed_line_counts`).  Only
+as integer exponents from one root-line row per conjugacy class, read
+from the code of the class's first element
+(:attr:`reflarr.arrangement.Arrangement.class_rows`, counted once per
+class in :attr:`reflarr.arrangement.Arrangement.fixed_line_counts`).  Only
 :func:`restriction_check` recomputes eigenvalues from matrices, so that
 its two sides stay independent of those rows.  The family is periodic
 with period kappa, chi_0 is the permutation character on the
@@ -48,13 +49,10 @@ class ClassFunction:
         return ClassFunction(self.group, tuple(a * b for a, b in zip(self.values, other.values)))
 
 
-def class_representatives(g: GroupModel):
-    return tuple(min(cls) for cls in g.classes)
-
-
 def chi(g: GroupModel, a: Arrangement, n: int) -> ClassFunction:
     """chi_n on each conjugacy class; g must be the arrangement's group."""
-    units = a.action_of(g).units
+    a.require_group(g)
+    units = a.units
     mod, order = len(units), units[0].order
     values = []
     for counts in a.fixed_line_counts:
@@ -73,9 +71,7 @@ def trivial_character(g: GroupModel) -> ClassFunction:
 
 def matrix_character(g: GroupModel, fn) -> ClassFunction:
     """Class function from a matrix invariant (trace, det, ...)."""
-    return ClassFunction(
-        g, tuple(fn(g.matrix(rep)) for rep in class_representatives(g))
-    )
+    return ClassFunction(g, tuple(fn(g.matrix(cls[0])) for cls in g.classes))
 
 
 def inner_product(f: ClassFunction, h: ClassFunction) -> CycNum:
@@ -199,12 +195,7 @@ class SignModelRep:
 
     def character(self) -> ClassFunction:
         g = self.built.group
-        return ClassFunction(
-            g,
-            tuple(
-                self.matrix_of(rep).trace() for rep in class_representatives(g)
-            ),
-        )
+        return ClassFunction(g, tuple(self.matrix_of(cls[0]).trace() for cls in g.classes))
 
 
 def _sign_matrix(built: BuiltGroup, element_index: int) -> Matrix:

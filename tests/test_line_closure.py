@@ -20,6 +20,7 @@ from reflarr.catalog import GroupSpec, build, imprimitive_order
 from reflarr.cyclo import CycNum
 from reflarr.kappa import a_indices
 from reflarr.linalg import Matrix, normalize_first_nonzero, nullspace, proportionality
+from reflarr.lines import LineSet
 from reflarr.matgroup import GroupModel, NotFiniteWithinBound
 from reflarr.repfamily import chi
 
@@ -220,7 +221,7 @@ def test_reflections(pair):
 
 def test_roots_hyperplanes_and_kappa(pair):
     g, ref = pair
-    assert list(g.root_lines[0]) == ref.roots
+    assert [g.lines.vectors[j] for j in g.root_lines] == ref.roots
     if not g.reflections:
         return
     arr = Arrangement.from_group(g)
@@ -233,11 +234,33 @@ def test_roots_hyperplanes_and_kappa(pair):
 def test_b2_from_a_rotation_transports_the_missed_orbit():
     g = GroupModel.generate(SMALL["B2 from a rotation"])
     assert g.order == 8
-    # the closure runs on the coordinate lines; the diagonal roots, of
-    # the other hyperplane orbit, come only with root_lines
-    assert g.lines.roots == len(g.lines.vectors) == 2
-    assert len(g.root_lines[0]) == len(Arrangement.from_group(g)) == 4
+    # the first closure runs on the coordinate lines; the diagonal roots,
+    # of the other hyperplane orbit, are seeded in the second
+    assert g.lines.roots == len(g.lines.vectors) == 4
+    assert len(g.root_lines) == len(Arrangement.from_group(g)) == 4
     assert a_indices(g, Arrangement.from_group(g)).kappa == 2
+
+
+def test_every_root_is_a_closure_line(pair):
+    g, _ = pair
+    root_lines = set(list(g.lines.index)[: g.lines.roots])
+    assert all(r.root in root_lines for r in g.reflections)
+    assert all(j < g.lines.roots for j in g.root_lines)
+
+
+def test_a_closure_on_the_bootstrap_lines_alone_is_refused():
+    g = GroupModel.generate(SMALL["B2 from a rotation"])
+    # the reflection generator's root e_1 and its orbit only: the
+    # coordinate lines, without the diagonal roots
+    e_1 = (CycNum.one(), CycNum.zero())
+    lines = LineSet.bootstrap(g.generators, [e_1], len(g.lines.units), g.order_bound)
+    first = GroupModel._close(lines)
+    assert len(first.lines.vectors) == 2
+    # the same walk: indices, table and tree agree with the second closure
+    assert first.table == g.table and first.spanning_tree == g.spanning_tree
+    assert first.classes == g.classes and first.reflections == g.reflections
+    with pytest.raises(ArithmeticError, match="is no closure line"):
+        first.root_lines
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,8 @@
 """The root-line rows and the invariant form against the exact matrix
 path.
 
-Arrangement.row composes the row of an element from the generator
-rows; these tests recompute w.r_i with matvec for every element and
+Arrangement.row reads the row of an element from its closure code;
+these tests recompute w.r_i with matvec for every element and
 hyperplane, and rebuild a_indices from a direct sweep and from a sweep
 over every element's row.  Orbits are recomputed from every element's
 row, root orthogonality is checked against the hermitian product and
@@ -26,6 +26,7 @@ from reflarr.linalg import Matrix, dot, hermitian_product, nullspace, proportion
 from reflarr.matgroup import GroupModel
 from reflarr.quadmap import coxeter_equivariant_forms
 from reflarr.repfamily import chi
+from test_line_closure import SMALL
 
 
 def _product_group():
@@ -44,6 +45,11 @@ def _product_group():
 def _catalog(spec):
     built = build(spec)
     return built.group, built.arrangement
+
+
+def _generated(gens):
+    g = GroupModel.generate(gens)
+    return g, Arrangement.from_group(g)
 
 
 def _on_only(arr, k):
@@ -70,6 +76,8 @@ GROUPS = {
     "G(3,3,3)": lambda: _catalog(GroupSpec.imprimitive(1, 3, 3)),
     "I2(5)": lambda: _catalog(GroupSpec.coxeter("I2", 5)),
     "product": _product_group,
+    # a generator that is no reflection: the closure runs twice
+    "B2 from a rotation": lambda: _generated(SMALL["B2 from a rotation"]),
 }
 
 
