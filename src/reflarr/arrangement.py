@@ -20,15 +20,16 @@ fixes r_j, so it is read from one reflection row per orbit.
 A flat of the intersection lattice is the intersection of the
 hyperplanes that contain it, so it is stored as the integer bitmask of
 those hyperplanes (Orlik-Terao, Arrangements of Hyperplanes, 2.1-2.3).
-Exact row reduction runs once per cover relation, to find the flats
-and their masks; the order X <= Y and the Mobius function then run on
-mask inclusion.
+The covers of a flat are read from the residues of the other forms
+modulo its own, with no row reduction per cover; the order X <= Y and
+the Mobius function then run on mask inclusion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .cyclo import CycNum
 from .linalg import (
@@ -97,15 +98,16 @@ class Arrangement:
             if not covs:
                 raise ValueError("no covectors and no dimension")
             dim = len(covs[0])
-        hyps = []
-        seen = set()
-        for c in covs:
+        hyps, seen = [], {}  # alpha -> index of its first covector
+        for k, c in enumerate(covs):
             if len(c) != dim:
                 raise ValueError(f"covector of length {len(c)} in dimension {dim}")
             alpha = normalize_first_nonzero(c)
-            if alpha is None or alpha in seen:
-                raise ValueError("zero or duplicate covector")
-            seen.add(alpha)
+            if alpha is None:
+                raise ValueError(f"covector {k} is zero")
+            if alpha in seen:
+                raise ValueError(f"covector {k} defines the same hyperplane as covector {seen[alpha]}")
+            seen[alpha] = k
             # root of H is the standard-form orthogonal: conj(alpha)
             root = normalize_first_nonzero(tuple(x.conjugate() for x in alpha))
             hyps.append(Hyperplane(alpha=alpha, root=root, d=2, distinguished_reflection=None))
@@ -285,13 +287,12 @@ class Arrangement:
     def flats(self) -> list[tuple[int, int]]:
         """The intersection lattice as (rank X, S_X) pairs, by rank.
 
-        A flat X is the intersection of the hyperplanes containing it,
-        so it is keyed by their bitmask S_X (bit i for hyperplane i);
-        V is (0, 0).  The lattice grows rank by rank: from X, each
-        hyperplane j outside S_X and outside the covers of X found so
-        far costs one row reduction of X's RREF basis plus alpha_j,
-        looked up by the resulting RREF.  A new flat gets its mask once,
-        by reducing the remaining alphas against its basis.
+        A flat X is keyed by the bitmask S_X of the hyperplanes that
+        contain it (bit i for hyperplane i); V is (0, 0).  X keeps, per
+        j outside S_X, the residue of alpha_j modulo X's forms, scaled to
+        first nonzero coordinate 1.  Equal residues span one line of
+        V*/X^perp, so each class of them is one cover, with mask S_X plus
+        the class; a cover reached again is skipped by its mask.
         """
         if len(self) > POINCARE_MAX_HYPERPLANES:
             raise ValueError(
@@ -299,25 +300,25 @@ class Arrangement:
                 f"{POINCARE_MAX_HYPERPLANES} hyperplanes"
             )
         alphas = [h.alpha for h in self.hyperplanes]
-        found = {(): 0}  # RREF of a flat's covector space -> S_X
+        top = rank(alphas)
+        # one order for every entry, so (num, den) pairs are canonical keys
+        order = lcm(*(x.order for a in alphas for x in a))
+        level = [(0, {i: tuple(x.lift(order) for x in a) for i, a in enumerate(alphas)})]
         lattice = [(0, 0)]
-        level = [((), 0)]
-        while level:
-            nxt = []
-            for x_rows, x_mask in level:
-                covered = x_mask
-                for j, a in enumerate(alphas):
-                    if covered >> j & 1:
-                        continue
-                    rows, pivots = rref([*x_rows, a])
-                    mask = found.get(rows)
-                    if mask is None:
-                        mask = _span_mask(rows, pivots, alphas, x_mask | 1 << j)
-                        found[rows] = mask
-                        lattice.append((len(rows), mask))
-                        nxt.append((rows, mask))
-                    covered |= mask
-            level = nxt
+        for r in range(1, top):
+            covers = {}  # S_Y -> the residues of the first parent of Y
+            for x_mask, residues in level:
+                classes = {}
+                for i, u in residues.items():
+                    key = tuple((x.num, x.den) for x in u)
+                    classes[key] = classes.get(key, x_mask) | 1 << i
+                for mask in classes.values():
+                    covers.setdefault(mask, residues)
+            lattice += [(r, mask) for mask in covers]
+            if r < top - 1:  # the flats one rank below the top keep no residues
+                level = [(mask, _cover_residues(res, mask)) for mask, res in covers.items()]
+        if top:
+            lattice.append((top, (1 << len(alphas)) - 1))
         return lattice
 
     def poincare_polynomial(self) -> list[int]:
@@ -354,23 +355,20 @@ def _components(n: int, step) -> list:
     return out
 
 
-def _span_mask(rows, pivots, alphas, known: int) -> int:
-    """``known`` plus the bit of each other alpha in the span of ``rows``.
-
-    The rows are in RREF with the given pivot columns, so v lies in
-    their span iff v - sum_p v[p] row_p vanishes; it vanishes at the
-    pivot columns by construction, so only the free columns are tested.
-    """
-    free = [c for c in range(len(rows[0])) if c not in pivots]
-    columns = [(c, [row[c] for row in rows]) for c in free]
-    mask = known
-    for i, v in enumerate(alphas):
-        if known >> i & 1:
-            continue
-        coeffs = [v[p] for p in pivots]
-        if all(v[c] == dot(coeffs, col) for c, col in columns):
-            mask |= 1 << i
-    return mask
+def _cover_residues(residues: dict, mask: int) -> dict:
+    """The residues of the cover with mask S_Y from its parent's: a
+    residue v in S_Y, 1 at its first nonzero column c, takes u to
+    u - u[c] v, rescaled, for each u outside S_Y."""
+    v = next(u for i, u in residues.items() if mask >> i & 1)
+    support = [k for k, x in enumerate(v) if not x.is_zero()]
+    c = support[0]
+    out = {}
+    for i, u in residues.items():
+        if not mask >> i & 1:
+            f = u[c]
+            out[i] = u if f.is_zero() else normalize_first_nonzero(
+                [x - f * v[k] if k in support else x for k, x in enumerate(u)])
+    return out
 
 
 @dataclass(frozen=True)

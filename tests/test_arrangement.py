@@ -9,7 +9,8 @@ from reflarr.arrangement import (
     poly_mul,
 )
 from reflarr.catalog import GroupSpec, build, imprimitive_order
-from reflarr.linalg import rank
+from reflarr.cyclo import CycNum
+from reflarr.linalg import Matrix, rank
 from reflarr.matgroup import GroupModel
 
 
@@ -214,6 +215,35 @@ def _module_irreducible(g):
     return True
 
 
+def _monomial_forms(n, m, coordinate):
+    """x_i - zeta_m^k x_j for i < j and k < m, after the x_i if asked."""
+    z = CycNum.zeta(m)
+    forms = [[int(k == i) for k in range(n)] for i in range(n)] if coordinate else []
+    for i, j in itertools.combinations(range(n), 2):
+        for e in range(m):
+            forms.append([1 if k == i else -z ** e if k == j else 0 for k in range(n)])
+    return forms
+
+
+def _coordinate_change(n):
+    """A fixed unimodular integer n x n matrix, not triangular: L U, with
+    L unit lower triangular and U the upper triangle of ones."""
+    lower = [[1 if i == j else (i + j) % 3 - 1 if i > j else 0 for j in range(n)] for i in range(n)]
+    return Matrix(lower) * Matrix([[int(j >= i) for j in range(n)] for i in range(n)])
+
+
+# the arrangements of the lattice benchmark, with their flat counts per
+# rank; A4 is the braid arrangement, not essential in dimension 5
+LATTICE_CASES = [
+    ("A4", _monomial_forms(5, 1, False), [1, 10, 25, 15, 1]),
+    ("B3", _monomial_forms(3, 2, True), [1, 9, 13, 1]),
+    ("D4", _monomial_forms(4, 2, False), [1, 12, 34, 24, 1]),
+    ("G(3,3,3)", _monomial_forms(3, 3, False), [1, 9, 12, 1]),
+    ("G(3,1,3)", _monomial_forms(3, 3, True), [1, 12, 21, 1]),
+    ("G(4,4,3)", _monomial_forms(3, 4, False), [1, 12, 19, 1]),
+]
+
+
 class TestPoincare:
     def test_counterexample_arrangement(self, braid5):
         poly = braid5.poincare_polynomial()
@@ -254,21 +284,33 @@ class TestPoincare:
         covs = [[1, k] for k in range(13)]
         arr = Arrangement.from_covectors(covs)
 
-        def no_row_reduction(rows):
-            raise AssertionError("row reduction before the size refusal")
+        def no_lattice_work(*args):
+            raise AssertionError("lattice work before the size refusal")
 
-        # the refusal comes first, by name, before any lattice work
-        monkeypatch.setattr(arrangement, "rref", no_row_reduction)
+        # the refusal comes first, by name, before the top rank and any
+        # residue of the lattice
+        monkeypatch.setattr(arrangement, "rank", no_lattice_work)
+        monkeypatch.setattr(arrangement, "normalize_first_nonzero", no_lattice_work)
         with pytest.raises(ValueError, match="beyond 12 hyperplanes"):
             arr.poincare_polynomial()
 
     @pytest.mark.parametrize(
-        "case", ["empty", "two-planes", "G4", "G(3,3,3)", "B3", "braid5"]
+        "case", ["empty", "two-planes", "G4", "G(3,3,3)", "B3", "braid5",
+                 "mixed-orders", "four-lines", "one-plane"]
     )
     def test_matches_whitney_formula(self, case, g4, braid5):
+        z = CycNum.zeta(3)
         arr = {
             "empty": lambda: Arrangement.from_covectors([], dim=3),
             "two-planes": lambda: Arrangement.from_covectors([[1, 0, 0], [0, 1, 0]]),
+            # order-1 and order-3 forms with equal residues: modulo y, the
+            # forms x, x - z y and x - z^2 y all reduce to x
+            "mixed-orders": lambda: Arrangement.from_covectors(
+                [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -z, 0], [1, 1, 1], [1, -z * z, 0]]
+            ),
+            # rank 2: the rank-1 flats keep no residues, the top is appended
+            "four-lines": lambda: Arrangement.from_covectors([[1, 0], [0, 1], [1, 1], [1, -1]]),
+            "one-plane": lambda: Arrangement.from_covectors([[1, 2, 0]]),
             "G4": lambda: g4.arrangement,
             "G(3,3,3)": lambda: build(GroupSpec.imprimitive(1, 3, 3)).arrangement,
             "B3": lambda: build(GroupSpec.coxeter("B", 3)).arrangement,
@@ -285,10 +327,23 @@ class TestPoincare:
         flats = Arrangement.from_covectors(covs).flats()
         assert [sum(r == k for r, _ in flats) for k in range(5)] == [1, 10, 25, 15, 1]
 
+    @pytest.mark.parametrize(
+        "label,covectors,counts", LATTICE_CASES, ids=[c[0] for c in LATTICE_CASES]
+    )
+    def test_flats_per_rank_in_changed_coordinates(self, label, covectors, counts):
+        # alpha -> alpha M: the same lattice in coordinates x = M y
+        change = _coordinate_change(len(covectors[0]))
+        arr = Arrangement.from_covectors((Matrix(covectors) * change).rows)
+        flats = arr.flats()
+        assert [sum(r == k for r, _ in flats) for k in range(len(counts))] == counts
+        assert [r for r, _ in flats] == sorted(r for r, _ in flats)
+
     def test_flat_masks_are_closed(self, g4):
         # S_X holds every hyperplane through X and no other: adding any
         # further form raises the rank
-        for arr in (g4.arrangement, build(GroupSpec.coxeter("B", 3)).arrangement):
+        for arr in (g4.arrangement, build(GroupSpec.coxeter("B", 3)).arrangement,
+                    build(GroupSpec.coxeter("D", 4)).arrangement,
+                    build(GroupSpec.imprimitive(1, 4, 3)).arrangement):
             alphas = [list(h.alpha) for h in arr.hyperplanes]
             flats = arr.flats()
             assert len({mask for _, mask in flats}) == len(flats)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = ("bench_kernel.py", "bench_monodromy.py", "bench_structure.py")
+SCRIPTS = ("bench_kernel.py", "bench_lattice.py", "bench_monodromy.py", "bench_structure.py")
 LOAD = (
     "import importlib.util, sys; "
     "spec = importlib.util.spec_from_file_location('bench', sys.argv[1]); "

@@ -335,8 +335,24 @@ class TestExitContract:
         assert cli.main(["poincare", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "zero or duplicate" not in err
+        assert "is zero" not in err and "same hyperplane" not in err
 
+    @pytest.mark.parametrize(
+        "covectors,message",
+        [
+            ([[1, 0], [0, 1], [1, 1], [0, 0]], "covector 3 is zero"),
+            ([[1, 0], [0, 1], [1, -1], [1, 1], [1, 2], [-3, 3]],
+             "covector 5 defines the same hyperplane as covector 2"),
+        ],
+        ids=["zero", "duplicate"],
+    )
+    def test_bad_covector_named_by_index(self, covectors, message, tmp_path, capsys):
+        p = tmp_path / "arr.json"
+        p.write_text(json.dumps({"covectors": covectors}))
+        assert cli.main(["poincare", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
 
     def test_infinite_covector_exits_2(self, tmp_path, capsys):
         p = tmp_path / "arr.json"
